@@ -1,8 +1,8 @@
 """Input ingestion: remap raw bytes onto a dense integer alphabet.
 
 Codes are assigned in byte order starting at 1.  Code 0 is reserved
-throughout the package for the virtual terminators and for padding in
-fixed-width encodings, so it never appears in a text.
+throughout the package for the virtual terminators, so it never appears
+in a text.
 """
 
 from __future__ import annotations
@@ -23,13 +23,6 @@ class DenseAlphabet:
     @property
     def size(self) -> int:
         return len(self.code_to_byte)
-
-    def code_of(self, byte: int) -> int | None:
-        """Dense code for a byte value, or None if the byte never occurred."""
-        pos = np.searchsorted(np.frombuffer(self.code_to_byte, dtype=np.uint8), byte)
-        if pos < self.size and self.code_to_byte[pos] == byte:
-            return int(pos) + 1
-        return None
 
     def encode(self, data: bytes) -> np.ndarray | None:
         """Map a byte string to codes; None if any byte is outside the alphabet."""

@@ -1,15 +1,17 @@
-"""The chunked height-1 grammar dictionary and its prefix/suffix structures.
+"""The chunked height-1 grammar dictionary and its prefix/suffix lookups.
 
 Every distinct chunk of the factorized text becomes a rule; symbol ids are
 the 1-based lexicographic ranks of the right-hand sides (id 0 is reserved
-for the terminator of the rewritten text).  Rules are addressed through
-two sparse bit structures holding the fixed-width integer encodings of the
-right-hand sides and of their reversals, plus the permutation from
-colexicographic to lexicographic rank.
+for the terminator of the rewritten text).  The rules that start with a
+string q form one interval of lex ids, found by binary search over the
+sorted right-hand sides; the rules that end with q form one interval of
+colex ranks, found the same way over the sorted reversed right-hand
+sides and mapped back to lex ids through the colex permutation.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,83 +19,32 @@ import numpy as np
 from gfi.errors import InvalidParameterError
 from gfi import lms
 
-MAX_ENCODING_BITS = 48
 
-
-class SparseBits:
-    """Set bits of a huge conceptual bit vector, kept as a sorted value array.
-
-    Supports rank over the value domain; the domain length is 2**(lam*w),
-    so only the set positions are materialized.
-    """
-
-    def __init__(self, values: np.ndarray):
-        self.values = np.sort(np.asarray(values, dtype=np.int64))
-
-    def rank(self, v: int) -> int:
-        """Number of set bits at positions <= v."""
-        return int(np.searchsorted(self.values, v, side="right"))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def char_width(sigma: int) -> int:
-    """Bits per character: ceil(lg(sigma+1)); code 0 is the padding value."""
-    return int(sigma).bit_length()
-
-
-def encode_fixed(s: bytes, lam: int, width: int, pad_one: bool) -> int:
-    """Fixed-width integer encoding of s, padded to lam characters.
-
-    Characters occupy ``width`` bits each, first character most significant.
-    The lam*width - len(s)*width trailing bits are all zero or all one.
-    With code 0 reserved, zero padding keeps distinct strings distinct and
-    integer order equal to lexicographic order (prefixes sort first).
-    """
-    if len(s) > lam:
-        raise InvalidParameterError("string longer than the chunk size")
-    v = 0
-    for c in s:
-        v = (v << width) | c
-    pad_bits = (lam - len(s)) * width
-    v <<= pad_bits
-    if pad_one:
-        v |= (1 << pad_bits) - 1
-    return v
+def _starting_with(strings: list[bytes], q: bytes) -> tuple[int, int]:
+    """Half-open index interval of the sorted strings that start with q."""
+    lo = bisect_left(strings, q)
+    return lo, bisect_right(strings, q, lo, key=lambda s: s[: len(q)])
 
 
 @dataclass
 class Grammar:
-    """Dictionary of distinct chunks with lex ids and rank structures."""
+    """Dictionary of distinct chunks with lex ids and colex order."""
 
     lam: int
     sigma: int
     rhs: list[bytes]  # lex sorted; index i holds the rule for id i+1
-    width: int = field(init=False)
     rhs_id: dict[bytes, int] = field(init=False, repr=False)
-    prefix_bits: SparseBits = field(init=False, repr=False)
-    suffix_bits: SparseBits = field(init=False, repr=False)
+    reversed_rhs: list[bytes] = field(init=False, repr=False)  # sorted, i.e. colex order
     colex_to_lex: np.ndarray = field(init=False, repr=False)
     lex_to_colex: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.width = char_width(self.sigma)
-        if self.lam * self.width > MAX_ENCODING_BITS:
-            raise InvalidParameterError(
-                "lam * char width exceeds the %d-bit encoding cap" % MAX_ENCODING_BITS
-            )
         self.rhs_id = {s: i + 1 for i, s in enumerate(self.rhs)}
-        fwd = [encode_fixed(s, self.lam, self.width, pad_one=False) for s in self.rhs]
-        self.prefix_bits = SparseBits(np.array(fwd, dtype=np.int64))
-        rev_vals = np.array(
-            [encode_fixed(s[::-1], self.lam, self.width, pad_one=False) for s in self.rhs],
-            dtype=np.int64,
-        )
-        self.suffix_bits = SparseBits(rev_vals)
-        self.colex_to_lex = (np.argsort(rev_vals, kind="stable") + 1).astype(np.int64)
-        self.lex_to_colex = np.empty(len(self.rhs) + 1, dtype=np.int64)
-        self.lex_to_colex[0] = 0
+        rev = [s[::-1] for s in self.rhs]
+        order = sorted(range(len(rev)), key=rev.__getitem__)
+        self.reversed_rhs = [rev[i] for i in order]
+        self.colex_to_lex = np.array(order, dtype=np.int64) + 1
+        self.lex_to_colex = np.zeros(len(self.rhs) + 1, dtype=np.int64)
         self.lex_to_colex[self.colex_to_lex] = np.arange(1, len(self.rhs) + 1)
 
     @property
@@ -104,32 +55,18 @@ class Grammar:
     def id_of(self, s: bytes) -> int | None:
         return self.rhs_id.get(s)
 
-    def _valid_query(self, q: bytes) -> bool:
-        return len(q) <= self.lam and all(1 <= c <= self.sigma for c in q)
-
     def prefix_range(self, q: bytes) -> tuple[int, int]:
         """Inclusive lex-id interval of rules whose rhs starts with q.
 
         Empty results come back with lo > hi.
         """
-        if not self._valid_query(q):
-            return (1, 0)
-        v1 = encode_fixed(q, self.lam, self.width, pad_one=False)
-        v2 = encode_fixed(q, self.lam, self.width, pad_one=True)
-        lo = self.prefix_bits.rank(v1 - 1) + 1
-        hi = self.prefix_bits.rank(v2)
-        return (lo, hi)
+        lo, hi = _starting_with(self.rhs, q)
+        return (lo + 1, hi)
 
     def suffix_symbols(self, q: bytes) -> list[int]:
-        """Lex ids of all rules whose rhs ends with q."""
-        if not self._valid_query(q):
-            return []
-        r = q[::-1]
-        v1 = encode_fixed(r, self.lam, self.width, pad_one=False)
-        v2 = encode_fixed(r, self.lam, self.width, pad_one=True)
-        lo = self.suffix_bits.rank(v1 - 1) + 1
-        hi = self.suffix_bits.rank(v2)
-        return [int(self.colex_to_lex[k - 1]) for k in range(lo, hi + 1)]
+        """Lex ids of all rules whose rhs ends with q, in colex order."""
+        lo, hi = _starting_with(self.reversed_rhs, q[::-1])
+        return self.colex_to_lex[lo:hi].tolist()
 
     def colex_ranks(self) -> np.ndarray:
         """Colex rank per lex id; entry 0 is the terminator's rank 0."""

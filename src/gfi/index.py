@@ -3,9 +3,9 @@
 The serialized file stores only primary data: the alphabet map, the rule
 strings in lexicographic order, the run-length compressed BWT of the
 rewritten text, the short-pattern trie nodes, and optionally the baseline
-BWT runs.  Rank structures, the sparse bit dictionaries and the colex
-permutation are rebuilt on load, so serialize -> load -> serialize is
-byte-identical.
+BWT runs.  Rank structures, the reversed-rule list with its colex
+permutation, and the trie's lookup table are rebuilt on load, so
+serialize -> load -> serialize is byte-identical.
 
 All multi-byte integers are little-endian; counts are unsigned 32-bit.
 """
@@ -27,6 +27,7 @@ from gfi.shorttrie import ShortPatternTrie
 
 MAGIC = b"GFI1"
 VERSION = 1
+MAX_LAMBDA = 255  # the header stores the chunk size in one byte
 
 
 @dataclass
@@ -66,8 +67,8 @@ class TextIndex:
 
 def build_index(data: bytes, lam: int, with_baseline: bool = False) -> TextIndex:
     """Build the full index for a raw byte string."""
-    if lam < 1:
-        raise InvalidParameterError("chunk size must be at least 1")
+    if not 1 <= lam <= MAX_LAMBDA:
+        raise InvalidParameterError("chunk size must be between 1 and %d" % MAX_LAMBDA)
     text, alphabet = densify(bytes(data))
     gram, level1 = grammar_mod.build(text.symbols, lam)
     rlfm1 = RLFMIndex.from_bwt(bwt_mod.bwt_of(level1))

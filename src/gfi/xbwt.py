@@ -10,8 +10,8 @@ array over the first symbols of those upward paths drives backward search.
 Reading a node's labels upward spells the rule unreversed, so the
 terminator rows appear in lexicographic rule order and backward search for
 a query string lands on the lex-id interval of rules having the query as a
-prefix.  This structure is a verified alternative to the sparse-bit
-dictionary; the default query path does not use it.
+prefix.  This structure is a verified alternative to the binary-search
+dictionary in ``gfi.grammar``; the default query path does not use it.
 """
 
 from __future__ import annotations

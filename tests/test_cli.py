@@ -35,6 +35,18 @@ def test_build_and_stats(tmp_path, capsys):
     assert int(stats["bytes_total"]) == len((tmp_path / "t.gfi").read_bytes())
 
 
+def test_build_rejects_lambda_above_255(tmp_path, capsys):
+    text_file = tmp_path / "t.txt"
+    text_file.write_bytes(b"bacabacaacbcbc")
+    idx_file = tmp_path / "t.gfi"
+    status, _, err = run(
+        capsys, "build", "-i", str(text_file), "-o", str(idx_file), "--lambda", "256"
+    )
+    assert status == 2
+    assert err.startswith("error:")
+    assert not idx_file.exists()
+
+
 def test_count_command(tmp_path, capsys):
     text_file = tmp_path / "t.txt"
     text_file.write_bytes(b"bacabacaacbcbc")

@@ -6,8 +6,8 @@ import pytest
 
 from conftest import to_codes
 from gfi import grammar as gm
-from gfi.errors import InvalidParameterError
-from gfi.grammar import encode_fixed
+from gfi.index import build_index
+from gfi.oracle import naive_count
 
 
 def letters(rules):
@@ -48,38 +48,35 @@ def test_expansion_reproduces_text():
         assert len(level1) <= n
 
 
-def test_encode_fixed_examples():
-    # sigma=3 needs 2 bits per character
-    assert encode_fixed(bytes([1]), lam=2, width=2, pad_one=False) == 0b0100
-    assert encode_fixed(bytes([1]), lam=2, width=2, pad_one=True) == 0b0111
-    full = bytes([2, 3])
-    assert encode_fixed(full, 2, 2, False) == encode_fixed(full, 2, 2, True)
-    assert encode_fixed(b"", 2, 2, False) == 0
-    assert encode_fixed(b"", 2, 2, True) == 2**4 - 1
+def _full_byte_text(rng) -> bytes:
+    """A few KB over 200+ byte values: a random base and noisy copies of it."""
+    base = bytes(rng.randint(1, 255) for _ in range(1200))
+    parts = [base]
+    for _ in range(3):
+        copy = bytearray(base)
+        for _ in range(30):
+            copy[rng.randrange(len(copy))] = rng.randint(1, 255)
+        parts.append(bytes(copy))
+    return b"".join(parts)
 
 
-def test_encode_fixed_rejects_long_strings():
-    with pytest.raises(InvalidParameterError):
-        encode_fixed(bytes([1, 1, 1]), lam=2, width=2, pad_one=False)
-
-
-def test_encode_fixed_monotone_in_lex_order():
-    sigma, lam = 3, 3
-    width = 2
-    strings = [b""]
-    for k in range(1, lam + 1):
-        strings.extend(
-            bytes(p) for p in itertools.product(range(1, sigma + 1), repeat=k)
-        )
-    strings.sort()
-    encodings = [encode_fixed(s, lam, width, False) for s in strings]
-    assert encodings == sorted(encodings)
-    assert len(set(encodings)) == len(encodings)
-
-
-def test_encoding_cap():
-    with pytest.raises(InvalidParameterError):
-        gm.Grammar(lam=8, sigma=255, rhs=[bytes([1])])
+@pytest.mark.parametrize("lam", [7, 12, 16])
+def test_full_byte_alphabet_matches_oracle(lam):
+    rng = random.Random(lam)
+    raw = _full_byte_text(rng)
+    idx = build_index(raw, lam, with_baseline=True)
+    assert idx.alphabet.size >= 200
+    t = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    for _ in range(120):
+        m = rng.randint(1, 300)
+        if rng.random() < 0.8:
+            i = rng.randint(0, len(raw) - m)
+            pat = raw[i : i + m]
+        else:
+            pat = bytes(rng.randint(1, 255) for _ in range(m))
+        want = naive_count(t, np.frombuffer(pat, dtype=np.uint8).astype(np.int64))
+        assert idx.count(pat) == want, (lam, pat)
+        assert idx.count_baseline(pat) == want, (lam, pat)
 
 
 def test_prefix_range_running_example():
@@ -144,7 +141,5 @@ def test_dictionary_queries_match_brute_force_exhaustively():
 
 def test_popcount_invariants():
     g, _ = gm.build(to_codes(b"bacabacaacbcbc"), 4)
-    assert len(g.prefix_bits) == g.size
-    assert len(g.suffix_bits) == g.size
     perm = sorted(g.colex_to_lex.tolist())
     assert perm == list(range(1, g.size + 1))

@@ -86,6 +86,13 @@ def test_rejects_bad_lambda():
         build_index(b"abc", 0)
 
 
+def test_lambda_limited_to_one_header_byte():
+    idx = build_index(b"abracadabra", 255)
+    assert load_index(save_index(idx)).lam == 255
+    with pytest.raises(InvalidParameterError):
+        build_index(b"abracadabra", 256)
+
+
 def test_baseline_requires_flag():
     idx = build_index(b"abc", 2)
     with pytest.raises(ValueError):

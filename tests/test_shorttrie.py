@@ -1,6 +1,7 @@
 import random
 
 import numpy as np
+import pytest
 
 from conftest import to_codes
 from gfi.bwt import suffix_array
@@ -20,20 +21,33 @@ def test_depth_zero_trie_is_empty():
     assert trie.node_count == 0
 
 
+def test_rejects_malformed_node_arrays():
+    with pytest.raises(ValueError):
+        ShortPatternTrie(depth=2, parents=[0, 2], edges=[1, 1], counts=[2, 1])
+    with pytest.raises(ValueError):
+        ShortPatternTrie(depth=2, parents=[1], edges=[1], counts=[1])
+    with pytest.raises(ValueError):
+        ShortPatternTrie(depth=2, parents=[0, 1], edges=[1, 1], counts=[2])
+
+
 def test_counts_match_naive_and_suffix_array():
     rng = random.Random(14)
     for _ in range(40):
         n = rng.randint(1, 300)
-        sigma = rng.choice([2, 3, 4])
+        sigma = rng.choice([2, 3, 4, 255])
         text = np.array([rng.randint(1, sigma) for _ in range(n)])
-        lam = rng.randint(2, 8)
+        lam = rng.randint(2, 16)
         trie = ShortPatternTrie.build(text, lam)
         s = text.tolist()
         sa = suffix_array(text)
         t = s + [0]
         for _ in range(40):
             m = rng.randint(1, lam - 1)
-            p = [rng.randint(1, sigma) for _ in range(m)]
+            if m <= n and rng.random() < 0.5:
+                i = rng.randint(0, n - m)
+                p = s[i : i + m]
+            else:
+                p = [rng.randint(1, sigma) for _ in range(m)]
             naive = sum(1 for i in range(len(s) - m + 1) if s[i : i + m] == p)
             via_sa = sum(1 for pos in sa.tolist() if t[pos - 1 : pos - 1 + m] == p)
             assert naive == via_sa
