@@ -44,11 +44,8 @@ class TextIndex:
     @property
     def n(self) -> int:
         """Text length, recovered from symbol frequencies and rule lengths."""
-        lengths = self.grammar.expansion_lengths()
-        total = 0
-        for sym in range(1, self.rlfm1.alphabet_size):
-            total += self.rlfm1.symbol_count(sym) * int(lengths[sym])
-        return total
+        counts = np.diff(self.rlfm1.C)[1:]  # per rule id; the terminator dropped
+        return int(counts @ self.grammar.expansion_lengths()[1 : len(counts) + 1])
 
     def count(self, pattern: bytes, trace=None) -> int:
         from gfi import query
@@ -133,6 +130,8 @@ def load_index(data: bytes) -> TextIndex:
     version, lam = struct.unpack("<BB", buf.read(2))
     if version != VERSION:
         raise ValueError("unsupported index version %d" % version)
+    if lam < 1:
+        raise ValueError("chunk size must be at least 1, not %d" % lam)
 
     (sigma,) = struct.unpack("<I", buf.read(4))
     alphabet = DenseAlphabet(code_to_byte=buf.read(sigma))
@@ -141,6 +140,8 @@ def load_index(data: bytes) -> TextIndex:
     rhs = []
     for _ in range(rule_count):
         (length,) = struct.unpack("<I", buf.read(4))
+        if length > lam:
+            raise ValueError("rule of length %d exceeds the chunk size %d" % (length, lam))
         rhs.append(buf.read(length))
     gram = grammar_mod.Grammar(lam=lam, sigma=sigma, rhs=rhs)
 
@@ -154,9 +155,16 @@ def load_index(data: bytes) -> TextIndex:
 
     (has_baseline,) = struct.unpack("<B", buf.read(1))
     rlfm0 = _read_runs(buf) if has_baseline else None
-    return TextIndex(
+    index = TextIndex(
         alphabet=alphabet, lam=lam, grammar=gram, rlfm1=rlfm1, trie=trie, rlfm0=rlfm0
     )
+    # The trie holds every substring shorter than lam, so its depth pins lam
+    # for any text of at least lam - 1 characters.
+    if trie.height != min(lam - 1, index.n):
+        raise ValueError(
+            "short-pattern trie depth %d does not match chunk size %d" % (trie.height, lam)
+        )
+    return index
 
 
 def save_index_file(index: TextIndex, path: str):

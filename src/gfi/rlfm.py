@@ -1,17 +1,26 @@
 """Run-length FM machinery over an integer alphabet.
 
-Rank is answered from the run decomposition of the BWT: a binary search
-locates the run covering the queried position, per-symbol prefix sums give
-the mass of earlier runs of the symbol, and the covering run contributes a
-partial length.  The same structure serves the raw-text baseline index and
-the rewritten-text index.
+The BWT is kept as its runs in one flat layout: the runs' start positions
+in BWT order, the run ids grouped by head symbol (BWT order within each
+group) with each symbol's first slot in that grouping, and the prefix
+sums of the run lengths taken in the grouped order, whose value at a
+symbol's first slot is its C entry.  Rank follows Maekinen and Navarro's
+run-length FM index: one binary search finds the run covering the
+position, a second one, bounded to the symbol's group, counts the
+symbol's runs before it, whose total length is one prefix-sum lookup,
+and the covering run adds its partial length when it is a run of the
+symbol.  Queries read the arrays through memoryviews, so they index to
+plain ints and call ``bisect`` without any numpy dispatch.  The same
+structure serves the raw-text baseline index and the rewritten-text
+index.
 
-Every rank invocation bumps a resettable counter so query cost can be
-measured in index operations rather than wall-clock time.
+Every rank, counted or inlined, bumps a resettable counter so query cost
+can be measured in index operations rather than wall-clock time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,28 +67,22 @@ class RLFMIndex:
         if np.any(self.run_heads[1:] == self.run_heads[:-1]):
             raise ValueError("adjacent runs must differ")
         self.total_length = int(self.run_lengths.sum())
-        # 1-based start position of each run
-        self.run_starts = np.empty(len(self.run_heads), dtype=np.int64)
-        self.run_starts[0] = 1
-        np.cumsum(self.run_lengths[:-1], out=self.run_starts[1:])
-        self.run_starts[1:] += 1
         self.alphabet_size = int(self.run_heads.max()) + 1 if len(self.run_heads) else 1
-
+        # 1-based start position of each run
+        starts = np.ones(len(self.run_heads), dtype=np.int64)
+        np.cumsum(self.run_lengths[:-1], out=starts[1:])
+        starts[1:] += 1
+        # The runs of c are order[first[c]:first[c+1]], in BWT order, and
+        # mass[j] is the total length of the runs order[:j].
         order = np.argsort(self.run_heads, kind="stable")
-        heads_sorted = self.run_heads[order]
-        boundaries = np.searchsorted(heads_sorted, np.arange(self.alphabet_size + 1))
-        self.sym_runs: list[np.ndarray] = []
-        self.sym_cum: list[np.ndarray] = []
-        counts = np.zeros(self.alphabet_size, dtype=np.int64)
-        for c in range(self.alphabet_size):
-            runs_of_c = order[boundaries[c] : boundaries[c + 1]]
-            runs_of_c.sort()
-            self.sym_runs.append(runs_of_c)
-            cum = np.cumsum(self.run_lengths[runs_of_c])
-            self.sym_cum.append(cum)
-            counts[c] = cum[-1] if len(cum) else 0
-        self.C = np.zeros(self.alphabet_size + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.C[1:])
+        first = np.searchsorted(self.run_heads[order], np.arange(self.alphabet_size + 1))
+        mass = np.zeros(len(self.run_heads) + 1, dtype=np.int64)
+        np.cumsum(self.run_lengths[order], out=mass[1:])
+        self.run_starts = memoryview(starts)
+        self.order = memoryview(order)
+        self.first = memoryview(first)
+        self.mass = memoryview(mass)
+        self.C = memoryview(mass[first])
         self.stats = RankStats()
 
     @classmethod
@@ -94,30 +97,26 @@ class RLFMIndex:
     def run_count(self) -> int:
         return len(self.run_heads)
 
-    def symbol_count(self, c: int) -> int:
-        if c < 0 or c >= self.alphabet_size:
-            return 0
-        return int(self.C[c + 1] - self.C[c])
-
     def rank(self, c: int, i: int) -> int:
         """Occurrences of c in BWT[1..i]; rank(c, 0) = 0."""
         self.stats.rank_calls += 1
         if i <= 0 or c < 0 or c >= self.alphabet_size:
             return 0
-        i = min(i, self.total_length)
-        k = int(np.searchsorted(self.run_starts, i, side="right")) - 1
-        runs = self.sym_runs[c]
-        idx = int(np.searchsorted(runs, k, side="left"))
-        before = int(self.sym_cum[c][idx - 1]) if idx > 0 else 0
-        if idx < len(runs) and runs[idx] == k:
-            before += i - int(self.run_starts[k]) + 1
+        if i > self.total_length:
+            i = self.total_length
+        k = bisect_right(self.run_starts, i) - 1  # the run covering i
+        a, b = self.first[c], self.first[c + 1]
+        j = bisect_left(self.order, k, a, b)  # a + runs of c before run k
+        before = self.mass[j] - self.C[c]
+        if j < b and self.order[j] == k:
+            before += i - self.run_starts[k] + 1
         return before
 
     def initial_range(self, c: int) -> BwtRange:
         """Rows whose suffix starts with c."""
         if c < 0 or c >= self.alphabet_size:
             return EMPTY_RANGE
-        return BwtRange(int(self.C[c]) + 1, int(self.C[c + 1]))
+        return BwtRange(self.C[c] + 1, self.C[c + 1])
 
     def id_interval_range(self, lo_id: int, hi_id: int) -> BwtRange:
         """Rows whose suffix starts with any symbol in the id interval."""
@@ -127,30 +126,66 @@ class RLFMIndex:
         hi_id = min(hi_id, self.alphabet_size - 1)
         if lo_id > hi_id:
             return EMPTY_RANGE
-        return BwtRange(int(self.C[lo_id]) + 1, int(self.C[hi_id + 1]))
+        return BwtRange(self.C[lo_id] + 1, self.C[hi_id + 1])
 
     def backward_step(self, rng: BwtRange, c: int) -> BwtRange:
-        """Extend the matched string one symbol to the left."""
+        """Extend the matched string one symbol to the left.
+
+        Two rank calls, inlined because this is the inner loop of every
+        search: the new range is C[c] + rank(c, i) at both ends, which
+        is mass[j] plus the partial run, and the upper end's slot j is
+        searched from the lower end's.
+        """
         if rng.empty:
             return EMPTY_RANGE
         if c < 0 or c >= self.alphabet_size:
             return EMPTY_RANGE
         self.stats.step_calls += 1
-        base = int(self.C[c])
-        lo = base + self.rank(c, rng.lo - 1) + 1
-        hi = base + self.rank(c, rng.hi)
-        return BwtRange(lo, hi)
+        self.stats.rank_calls += 2
+        n = self.total_length
+        lo = rng.lo - 1 if rng.lo <= n else n
+        hi = rng.hi if rng.hi <= n else n
+        starts, order, mass = self.run_starts, self.order, self.mass
+        b = self.first[c + 1]
+        k = bisect_right(starts, lo) - 1  # -1 when lo is 0: no run of c
+        j = bisect_left(order, k, self.first[c], b)
+        new_lo = mass[j] + 1
+        if j < b and order[j] == k:
+            new_lo += lo - starts[k] + 1
+        k = bisect_right(starts, hi) - 1
+        j = bisect_left(order, k, j, b)
+        new_hi = mass[j]
+        if j < b and order[j] == k:
+            new_hi += hi - starts[k] + 1
+        return BwtRange(new_lo, new_hi)
 
     def count_symbols_in_range(self, rng: BwtRange, symbols) -> int:
-        """Total occurrences of the given symbols within the row range."""
+        """Total occurrences of the given symbols within the row range.
+
+        Counted as two rank calls per symbol, inlined as in backward_step;
+        the runs covering both ends of the range are found once for all
+        symbols.
+        """
         if rng.empty:
             return 0
+        self.stats.rank_calls += 2 * len(symbols)
+        n = self.total_length
+        lo = rng.lo - 1 if rng.lo <= n else n
+        hi = rng.hi if rng.hi <= n else n
+        starts, order, mass, first = self.run_starts, self.order, self.mass, self.first
+        k_lo = bisect_right(starts, lo) - 1  # -1 when lo is 0: no run matches it
+        k_hi = bisect_right(starts, hi) - 1
+        off_lo = lo - starts[k_lo] + 1
+        off_hi = hi - starts[k_hi] + 1
+        size = self.alphabet_size
         total = 0
         for c in symbols:
-            hi = self.rank(c, rng.hi)
-            lo = self.rank(c, rng.lo - 1)
-            if hi > lo:
-                total += hi - lo
+            if 0 <= c < size:
+                b = first[c + 1]
+                j = bisect_left(order, k_lo, first[c], b)
+                total -= mass[j] + off_lo if j < b and order[j] == k_lo else mass[j]
+                j = bisect_left(order, k_hi, j, b)
+                total += mass[j] + off_hi if j < b and order[j] == k_hi else mass[j]
         return total
 
     def full_range(self) -> BwtRange:

@@ -28,6 +28,7 @@ class ShortPatternTrie:
         labels = [b""]
         for parent, edge in zip(self.parents.tolist(), self.edges.tolist()):
             labels.append(labels[parent] + bytes((edge,)))
+        self.height = len(labels[-1])  # labels come level by level: the last is deepest
         self.label_counts = dict(zip(labels[1:], self.counts.tolist()))
 
     @classmethod

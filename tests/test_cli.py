@@ -120,6 +120,22 @@ def test_missing_files_are_errors(tmp_path, capsys):
     assert "error" in err
 
 
+def test_count_rejects_patched_lambda(tmp_path, capsys):
+    text_file = tmp_path / "t.txt"
+    text_file.write_bytes(b"bacabacaacbcbc" * 3)
+    idx_file = tmp_path / "t.gfi"
+    run(capsys, "build", "-i", str(text_file), "-o", str(idx_file), "--lambda", "4")
+    pat_file = tmp_path / "p.txt"
+    pat_file.write_bytes(b"cabaca\n")
+    blob = bytearray(idx_file.read_bytes())
+    for lam in (0, 2, 8):
+        blob[5] = lam
+        idx_file.write_bytes(bytes(blob))
+        status, out, err = run(capsys, "count", "-x", str(idx_file), "-p", str(pat_file))
+        assert status == 2 and out == ""
+        assert "error" in err
+
+
 def test_count_matches_library(tmp_path, capsys):
     corpus = tmp_path / "c.txt"
     run(capsys, "gen", "random", "--sigma", "3", "--length", "500", "--seed", "11", "-o", str(corpus))

@@ -93,6 +93,17 @@ def test_lambda_limited_to_one_header_byte():
         build_index(b"abracadabra", 256)
 
 
+@pytest.mark.parametrize(
+    "lam, reason", [(0, "at least 1"), (2, "exceeds the chunk size"), (8, "trie depth")]
+)
+def test_rejects_patched_lambda(lam, reason):
+    blob = bytearray(save_index(build_index(b"bacabacaacbcbc" * 3, 4)))
+    assert blob[5] == 4
+    blob[5] = lam
+    with pytest.raises(ValueError, match=reason):
+        load_index(bytes(blob))
+
+
 def test_baseline_requires_flag():
     idx = build_index(b"abc", 2)
     with pytest.raises(ValueError):

@@ -81,6 +81,53 @@ def test_rank_monotone_random():
                 last = r
 
 
+def random_runs(rng):
+    """Run heads over a random alphabet with gaps, and their lengths."""
+    alphabet = sorted(rng.sample(range(12), rng.randint(1, 6)))
+    heads = [rng.choice(alphabet)]
+    for _ in range(rng.randint(0, 40)):
+        choices = [c for c in alphabet if c != heads[-1]]
+        if not choices:
+            break
+        heads.append(rng.choice(choices))
+    return heads, [rng.randint(1, 7) for _ in heads]
+
+
+def test_rank_exact_on_gapped_alphabets():
+    rng = random.Random(14)
+    for _ in range(200):
+        heads, lengths = random_runs(rng)
+        fm = RLFMIndex(heads, lengths)
+        bwt = [h for h, length in zip(heads, lengths) for _ in range(length)]
+        n = len(bwt)
+        assert list(fm.C) == list(np.asarray(fm.mass)[np.asarray(fm.first)])
+        absent = [c for c in range(fm.alphabet_size) if c not in heads]
+        for c in [-1, fm.alphabet_size, fm.alphabet_size + 3] + absent + sorted(set(heads)):
+            for i in [-1, 0, n, n + 2] + list(range(1, n)):
+                calls = fm.stats.rank_calls
+                assert fm.rank(c, i) == bwt[: max(i, 0)].count(c), (heads, lengths, c, i)
+                assert fm.stats.rank_calls == calls + 1
+
+
+def test_count_symbols_in_range_matches_naive():
+    rng = random.Random(15)
+    for _ in range(200):
+        heads, lengths = random_runs(rng)
+        fm = RLFMIndex(heads, lengths)
+        bwt = [h for h, length in zip(heads, lengths) for _ in range(length)]
+        n = len(bwt)
+        for _ in range(30):
+            lo = rng.randint(-1, n + 2)
+            hi = rng.randint(lo - 2, n + 2)  # lo > hi is an empty range
+            symbols = [rng.randint(-2, fm.alphabet_size + 1) for _ in range(rng.randint(0, 8))]
+            symbols += rng.sample(symbols, len(symbols) // 2)  # repeats count again
+            rows = bwt[max(lo, 1) - 1 : max(hi, 0)]
+            calls = fm.stats.rank_calls
+            got = fm.count_symbols_in_range(BwtRange(lo, hi), symbols)
+            assert got == sum(rows.count(c) for c in symbols), (heads, lengths, lo, hi, symbols)
+            assert fm.stats.rank_calls == calls + (0 if lo > hi else 2 * len(symbols))
+
+
 def test_backward_step_matches_suffix_filter():
     rng = random.Random(12)
     for _ in range(40):
