@@ -2,7 +2,8 @@
 
 Codes are assigned in byte order starting at 1.  Code 0 is reserved
 throughout the package for the virtual terminators, so it never appears
-in a text.
+in a text.  Codes fit in one byte, so both texts and patterns are mapped
+by one 256-byte translate table.
 """
 
 from __future__ import annotations
@@ -14,25 +15,24 @@ import numpy as np
 from gfi.errors import EmptyTextError, InvalidByteError
 
 
-@dataclass(frozen=True)
 class DenseAlphabet:
     """Order-preserving bijection between the distinct input bytes and 1..size."""
 
-    code_to_byte: bytes  # index c-1 holds the byte mapped to code c
+    def __init__(self, code_to_byte: bytes):
+        self.code_to_byte = code_to_byte  # index c-1 holds the byte mapped to code c
+        table = bytearray(256)  # bytes outside the alphabet map to 0
+        for code, byte in enumerate(code_to_byte, start=1):
+            table[byte] = code
+        self.byte_to_code = bytes(table)
 
     @property
     def size(self) -> int:
         return len(self.code_to_byte)
 
-    def encode(self, data: bytes) -> np.ndarray | None:
-        """Map a byte string to codes; None if any byte is outside the alphabet."""
-        table = np.frombuffer(self.code_to_byte, dtype=np.uint8)
-        arr = np.frombuffer(data, dtype=np.uint8)
-        pos = np.searchsorted(table, arr)
-        pos = np.minimum(pos, self.size - 1)
-        if not np.all(table[pos] == arr):
-            return None
-        return (pos + 1).astype(np.int64)
+    def encode(self, data: bytes) -> bytes | None:
+        """Map a byte string to code bytes; None if any byte is outside the alphabet."""
+        codes = data.translate(self.byte_to_code)
+        return None if 0 in codes else codes
 
     def decode(self, codes) -> bytes:
         table = np.frombuffer(self.code_to_byte, dtype=np.uint8)
@@ -60,10 +60,9 @@ def densify(raw: bytes) -> tuple[Text, DenseAlphabet]:
         raw = raw[:-1]
     if not raw:
         raise EmptyTextError("text is empty")
-    arr = np.frombuffer(raw, dtype=np.uint8)
-    if np.any(arr == 0):
+    present = np.bincount(np.frombuffer(raw, dtype=np.uint8), minlength=256)
+    if present[0]:
         raise InvalidByteError("embedded NUL byte in text")
-    table = np.unique(arr)
-    alphabet = DenseAlphabet(code_to_byte=table.tobytes())
-    codes = (np.searchsorted(table, arr) + 1).astype(np.int64)
-    return Text(symbols=codes), alphabet
+    alphabet = DenseAlphabet(np.flatnonzero(present).astype(np.uint8).tobytes())
+    codes = np.frombuffer(raw.translate(alphabet.byte_to_code), dtype=np.uint8)
+    return Text(symbols=codes.astype(np.int64)), alphabet

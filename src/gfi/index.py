@@ -86,9 +86,21 @@ def _write_runs(out: io.BytesIO, fm: RLFMIndex):
     out.write(pairs.tobytes())
 
 
+def _take(buf: io.BytesIO, size: int) -> bytes:
+    """The next ``size`` bytes of the file; ValueError when fewer remain."""
+    data = buf.read(size)
+    if len(data) != size:
+        raise ValueError("index file is truncated")
+    return data
+
+
+def _unpack(buf: io.BytesIO, fmt: str) -> tuple:
+    return struct.unpack(fmt, _take(buf, struct.calcsize(fmt)))
+
+
 def _read_runs(buf: io.BytesIO) -> RLFMIndex:
-    (count,) = struct.unpack("<I", buf.read(4))
-    pairs = np.frombuffer(buf.read(count * 8), dtype="<u4").astype(np.int64)
+    (count,) = _unpack(buf, "<I")
+    pairs = np.frombuffer(_take(buf, count * 8), dtype="<u4").astype(np.int64)
     return RLFMIndex(run_heads=pairs[0::2], run_lengths=pairs[1::2])
 
 
@@ -125,36 +137,38 @@ def save_index(index: TextIndex) -> bytes:
 
 def load_index(data: bytes) -> TextIndex:
     buf = io.BytesIO(data)
-    if buf.read(4) != MAGIC:
+    if _take(buf, 4) != MAGIC:
         raise ValueError("not an index file")
-    version, lam = struct.unpack("<BB", buf.read(2))
+    version, lam = _unpack(buf, "<BB")
     if version != VERSION:
         raise ValueError("unsupported index version %d" % version)
     if lam < 1:
         raise ValueError("chunk size must be at least 1, not %d" % lam)
 
-    (sigma,) = struct.unpack("<I", buf.read(4))
-    alphabet = DenseAlphabet(code_to_byte=buf.read(sigma))
+    (sigma,) = _unpack(buf, "<I")
+    alphabet = DenseAlphabet(code_to_byte=_take(buf, sigma))
 
-    (rule_count,) = struct.unpack("<I", buf.read(4))
+    (rule_count,) = _unpack(buf, "<I")
     rhs = []
     for _ in range(rule_count):
-        (length,) = struct.unpack("<I", buf.read(4))
+        (length,) = _unpack(buf, "<I")
         if length > lam:
             raise ValueError("rule of length %d exceeds the chunk size %d" % (length, lam))
-        rhs.append(buf.read(length))
+        rhs.append(_take(buf, length))
     gram = grammar_mod.Grammar(lam=lam, sigma=sigma, rhs=rhs)
 
     rlfm1 = _read_runs(buf)
 
-    (node_count,) = struct.unpack("<I", buf.read(4))
-    rows = np.frombuffer(buf.read(node_count * 12), dtype="<u4").astype(np.int64)
+    (node_count,) = _unpack(buf, "<I")
+    rows = np.frombuffer(_take(buf, node_count * 12), dtype="<u4").astype(np.int64)
     trie = ShortPatternTrie(
         depth=lam - 1, parents=rows[0::3], edges=rows[1::3], counts=rows[2::3]
     )
 
-    (has_baseline,) = struct.unpack("<B", buf.read(1))
+    (has_baseline,) = _unpack(buf, "<B")
     rlfm0 = _read_runs(buf) if has_baseline else None
+    if buf.tell() != len(data):
+        raise ValueError("index file has %d trailing bytes" % (len(data) - buf.tell()))
     index = TextIndex(
         alphabet=alphabet, lam=lam, grammar=gram, rlfm1=rlfm1, trie=trie, rlfm0=rlfm0
     )

@@ -24,9 +24,6 @@ class TypeArray:
 
     types: np.ndarray
 
-    def sstar_positions(self) -> np.ndarray:
-        return np.flatnonzero(self.types == SSTAR)
-
 
 def classify(text: np.ndarray) -> TypeArray:
     """Assign L/S types by the right-to-left scan; ties inherit the successor.

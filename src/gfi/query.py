@@ -24,7 +24,7 @@ from gfi import lms
 from gfi.errors import InvalidPatternError
 from gfi.grammar import Grammar
 from gfi.lms import chunk_string
-from gfi.rlfm import BwtRange, RLFMIndex
+from gfi.rlfm import RLFMIndex
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,15 @@ class QueryTrace:
     """Optional instrumentation handed through count().
 
     ``core_traversals`` records (steps taken, completed) per branch that
-    reached the core; ``events`` records every range transition.
+    reached the core; ``events`` records every range transition as
+    (kind, payload, (lo, hi)).
     """
 
     core_traversals: list = field(default_factory=list)
     events: list = field(default_factory=list)
 
-    def log(self, kind, payload, rng: BwtRange):
-        self.events.append((kind, payload, (rng.lo, rng.hi)))
+    def log(self, kind, payload, rng: tuple[int, int]):
+        self.events.append((kind, payload, rng))
 
 
 def trailing_run(s: bytes) -> int:
@@ -92,9 +93,10 @@ def trailing_run(s: bytes) -> int:
     return len(s) - k
 
 
-def pattern_factors(codes: np.ndarray) -> list[bytes]:
-    types = lms.classify(codes)
-    return lms.factorize(codes, types).factors
+def pattern_factors(codes: bytes) -> list[bytes]:
+    """The pattern's LMS factors; the one step that needs the codes as an array."""
+    arr = np.frombuffer(codes, dtype=np.uint8)
+    return lms.factorize(arr, lms.classify(arr)).factors
 
 
 def _ids_of(grammar: Grammar, pieces) -> tuple | None:
@@ -233,35 +235,39 @@ def _plan_single(pattern: bytes, grammar: Grammar) -> BranchPlan:
     return plan
 
 
-def plan_branches(pattern_codes, grammar: Grammar) -> BranchPlan:
+def plan_branches(codes: bytes, grammar: Grammar) -> BranchPlan:
     """Build the branch plan for a pattern of at least chunk length."""
-    codes = np.asarray(pattern_codes, dtype=np.int64)
     factors = pattern_factors(codes)
     if len(factors) >= 2:
         return _plan_composite(factors, grammar)
     return _plan_single(factors[0], grammar)
 
 
-def _anchor_range(fm: RLFMIndex, grammar: Grammar, anchor: bytes) -> BwtRange:
-    lo, hi = grammar.prefix_range(anchor)
-    return fm.id_interval_range(lo, hi)
+def _walk(fm: RLFMIndex, lo: int, hi: int, ids, trace) -> tuple[int, int, int]:
+    """Backward steps through ``ids`` right to left, stopping at an empty range.
 
-
-def _finish(fm: RLFMIndex, grammar: Grammar, rng: BwtRange, fb: FirstBranch, trace) -> int:
-    for sym in reversed(fb.exact_ids):
-        if rng.empty:
-            return 0
-        rng = fm.backward_step(rng, sym)
+    Returns the final range and the number of steps taken.
+    """
+    steps = 0
+    for sym in reversed(ids):
+        if lo > hi:
+            break
+        lo, hi = fm.backward_step(lo, hi, sym)
+        steps += 1
         if trace:
-            trace.log("step", sym, rng)
-    if rng.empty:
+            trace.log("step", sym, (lo, hi))
+    return lo, hi, steps
+
+
+def _finish(fm: RLFMIndex, grammar: Grammar, lo: int, hi: int, fb: FirstBranch, trace) -> int:
+    lo, hi, _ = _walk(fm, lo, hi, fb.exact_ids, trace)
+    if lo > hi:
         return 0
     if fb.suffix_query is None:
-        return len(rng)
-    syms = grammar.suffix_symbols(fb.suffix_query)
-    hits = fm.count_symbols_in_range(rng, syms)
+        return hi - lo + 1
+    hits = fm.count_symbols_in_range(lo, hi, grammar.suffix_symbols(fb.suffix_query))
     if trace:
-        trace.log("suffix_count", fb.suffix_query, rng)
+        trace.log("suffix_count", fb.suffix_query, (lo, hi))
     return hits
 
 
@@ -278,52 +284,23 @@ def execute_plan(
         return 0
     total = 0
     pairs = (
-        zip(plan.last_branches, plan.first_branches)
+        zip(plan.last_branches, ([fb] for fb in plan.first_branches))
         if plan.paired
-        else ((lb, None) for lb in plan.last_branches)
+        else ((lb, plan.first_branches) for lb in plan.last_branches)
     )
-    for lb, paired_fb in pairs:
-        rng = _anchor_range(fm, grammar, lb.anchor)
+    for lb, first_branches in pairs:
+        lo, hi = fm.id_interval_range(*grammar.prefix_range(lb.anchor))
         if trace:
-            trace.log("anchor", lb.anchor, rng)
-        for sym in reversed(lb.exact_ids):
-            if rng.empty:
-                break
-            rng = fm.backward_step(rng, sym)
-            if trace:
-                trace.log("step", sym, rng)
-        if plan.core_ids:
-            steps = 0
-            for sym in reversed(plan.core_ids):
-                if rng.empty:
-                    break
-                rng = fm.backward_step(rng, sym)
-                steps += 1
-                if trace:
-                    trace.log("step", sym, rng)
-            if trace and steps:
-                trace.core_traversals.append((steps, steps == len(plan.core_ids)))
-        if rng.empty:
+            trace.log("anchor", lb.anchor, (lo, hi))
+        lo, hi, _ = _walk(fm, lo, hi, lb.exact_ids, trace)
+        lo, hi, steps = _walk(fm, lo, hi, plan.core_ids, trace)
+        if trace and steps:
+            trace.core_traversals.append((steps, steps == len(plan.core_ids)))
+        if lo > hi:
             continue
-        if plan.paired:
-            total += _finish(fm, grammar, rng, paired_fb, trace)
-        else:
-            for fb in plan.first_branches:
-                total += _finish(fm, grammar, rng, fb, trace)
+        for fb in first_branches:
+            total += _finish(fm, grammar, lo, hi, fb, trace)
     return total
-
-
-def count_codes(index, codes, trace: QueryTrace | None = None) -> int:
-    """Occurrences of the code sequence in the indexed text."""
-    codes = np.asarray(codes, dtype=np.int64)
-    if len(codes) == 0:
-        raise InvalidPatternError("empty pattern")
-    if np.any(codes < 1) or np.any(codes > index.grammar.sigma):
-        return 0
-    if len(codes) < index.lam:
-        return index.trie.count(codes.astype(np.uint8).tobytes())
-    plan = plan_branches(codes, index.grammar)
-    return execute_plan(index.rlfm1, index.grammar, plan, trace)
 
 
 def count(index, pattern: bytes, trace: QueryTrace | None = None) -> int:
@@ -333,4 +310,7 @@ def count(index, pattern: bytes, trace: QueryTrace | None = None) -> int:
     codes = index.alphabet.encode(pattern)
     if codes is None:
         return 0
-    return count_codes(index, codes, trace)
+    if len(codes) < index.lam:
+        return index.trie.count(codes)
+    plan = plan_branches(codes, index.grammar)
+    return execute_plan(index.rlfm1, index.grammar, plan, trace)

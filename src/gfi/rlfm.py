@@ -14,8 +14,10 @@ plain ints and call ``bisect`` without any numpy dispatch.  The same
 structure serves the raw-text baseline index and the rewritten-text
 index.
 
-Every rank, counted or inlined, bumps a resettable counter so query cost
-can be measured in index operations rather than wall-clock time.
+A range of BWT rows is a 1-based inclusive ``(lo, hi)`` pair of ints,
+empty when ``lo > hi``.  Every rank, counted or inlined, bumps a
+resettable counter so query cost can be measured in index operations
+rather than wall-clock time.
 """
 
 from __future__ import annotations
@@ -24,24 +26,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class BwtRange:
-    """1-based inclusive interval of rows in sorted-suffix order."""
-
-    lo: int
-    hi: int
-
-    @property
-    def empty(self) -> bool:
-        return self.lo > self.hi
-
-    def __len__(self) -> int:
-        return 0 if self.empty else self.hi - self.lo + 1
-
-
-EMPTY_RANGE = BwtRange(1, 0)
 
 
 @dataclass
@@ -112,23 +96,15 @@ class RLFMIndex:
             before += i - self.run_starts[k] + 1
         return before
 
-    def initial_range(self, c: int) -> BwtRange:
-        """Rows whose suffix starts with c."""
-        if c < 0 or c >= self.alphabet_size:
-            return EMPTY_RANGE
-        return BwtRange(self.C[c] + 1, self.C[c + 1])
-
-    def id_interval_range(self, lo_id: int, hi_id: int) -> BwtRange:
+    def id_interval_range(self, lo_id: int, hi_id: int) -> tuple[int, int]:
         """Rows whose suffix starts with any symbol in the id interval."""
-        if lo_id > hi_id:
-            return EMPTY_RANGE
         lo_id = max(lo_id, 0)
         hi_id = min(hi_id, self.alphabet_size - 1)
         if lo_id > hi_id:
-            return EMPTY_RANGE
-        return BwtRange(self.C[lo_id] + 1, self.C[hi_id + 1])
+            return 1, 0
+        return self.C[lo_id] + 1, self.C[hi_id + 1]
 
-    def backward_step(self, rng: BwtRange, c: int) -> BwtRange:
+    def backward_step(self, lo: int, hi: int, c: int) -> tuple[int, int]:
         """Extend the matched string one symbol to the left.
 
         Two rank calls, inlined because this is the inner loop of every
@@ -136,15 +112,14 @@ class RLFMIndex:
         is mass[j] plus the partial run, and the upper end's slot j is
         searched from the lower end's.
         """
-        if rng.empty:
-            return EMPTY_RANGE
-        if c < 0 or c >= self.alphabet_size:
-            return EMPTY_RANGE
+        if lo > hi or c < 0 or c >= self.alphabet_size:
+            return 1, 0
         self.stats.step_calls += 1
         self.stats.rank_calls += 2
         n = self.total_length
-        lo = rng.lo - 1 if rng.lo <= n else n
-        hi = rng.hi if rng.hi <= n else n
+        lo = lo - 1 if lo <= n else n  # rows before the range
+        if hi > n:
+            hi = n
         starts, order, mass = self.run_starts, self.order, self.mass
         b = self.first[c + 1]
         k = bisect_right(starts, lo) - 1  # -1 when lo is 0: no run of c
@@ -157,21 +132,22 @@ class RLFMIndex:
         new_hi = mass[j]
         if j < b and order[j] == k:
             new_hi += hi - starts[k] + 1
-        return BwtRange(new_lo, new_hi)
+        return new_lo, new_hi
 
-    def count_symbols_in_range(self, rng: BwtRange, symbols) -> int:
+    def count_symbols_in_range(self, lo: int, hi: int, symbols) -> int:
         """Total occurrences of the given symbols within the row range.
 
         Counted as two rank calls per symbol, inlined as in backward_step;
         the runs covering both ends of the range are found once for all
         symbols.
         """
-        if rng.empty:
+        if lo > hi:
             return 0
         self.stats.rank_calls += 2 * len(symbols)
         n = self.total_length
-        lo = rng.lo - 1 if rng.lo <= n else n
-        hi = rng.hi if rng.hi <= n else n
+        lo = lo - 1 if lo <= n else n  # rows before the range
+        if hi > n:
+            hi = n
         starts, order, mass, first = self.run_starts, self.order, self.mass, self.first
         k_lo = bisect_right(starts, lo) - 1  # -1 when lo is 0: no run matches it
         k_hi = bisect_right(starts, hi) - 1
@@ -188,18 +164,16 @@ class RLFMIndex:
                 total += mass[j] + off_hi if j < b and order[j] == k_hi else mass[j]
         return total
 
-    def full_range(self) -> BwtRange:
-        return BwtRange(1, self.total_length)
-
-    def count_plain(self, pattern) -> int:
+    def count_plain(self, codes) -> int:
         """Baseline count by one backward step per pattern symbol.
 
-        Starting from the full row range makes the cost exactly two rank
-        calls per symbol when the pattern occurs.
+        ``codes`` is any sequence of ints, such as the code bytes from
+        ``DenseAlphabet.encode``.  Starting from the full row range makes
+        the cost exactly two rank calls per symbol when the pattern occurs.
         """
-        rng = self.full_range()
-        for c in reversed(pattern.tolist() if isinstance(pattern, np.ndarray) else list(pattern)):
-            rng = self.backward_step(rng, int(c))
-            if rng.empty:
+        lo, hi = 1, self.total_length
+        for c in reversed(codes):
+            lo, hi = self.backward_step(lo, hi, c)
+            if lo > hi:
                 return 0
-        return len(rng)
+        return hi - lo + 1

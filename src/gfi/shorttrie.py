@@ -69,6 +69,6 @@ class ShortPatternTrie:
         """Number of stored nodes, the root excluded."""
         return len(self.parents)
 
-    def count(self, pattern: bytes) -> int:
-        """Occurrences of the pattern, 0 when no text substring spells it."""
-        return self.label_counts.get(bytes(pattern), 0)
+    def count(self, codes: bytes) -> int:
+        """Occurrences of the code bytes, 0 when no text substring spells them."""
+        return self.label_counts.get(codes, 0)

@@ -136,6 +136,21 @@ def test_count_rejects_patched_lambda(tmp_path, capsys):
         assert "error" in err
 
 
+def test_count_rejects_truncated_or_padded_index(tmp_path, capsys):
+    text_file = tmp_path / "t.txt"
+    text_file.write_bytes(b"bacabacaacbcbc" * 5)
+    idx_file = tmp_path / "t.gfi"
+    run(capsys, "build", "-i", str(text_file), "-o", str(idx_file), "--lambda", "4", "--baseline")
+    pat_file = tmp_path / "p.txt"
+    pat_file.write_bytes(b"cabaca\n")
+    blob = idx_file.read_bytes()
+    for damaged in (blob[:-1], blob[: len(blob) // 2], blob + b"\x00"):
+        idx_file.write_bytes(damaged)
+        status, out, err = run(capsys, "count", "-x", str(idx_file), "-p", str(pat_file))
+        assert status == 2 and out == ""
+        assert "error" in err
+
+
 def test_count_matches_library(tmp_path, capsys):
     corpus = tmp_path / "c.txt"
     run(capsys, "gen", "random", "--sigma", "3", "--length", "500", "--seed", "11", "-o", str(corpus))

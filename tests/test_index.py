@@ -104,6 +104,15 @@ def test_rejects_patched_lambda(lam, reason):
         load_index(bytes(blob))
 
 
+def test_rejects_truncated_or_padded_file():
+    blob = save_index(build_index(b"bacabacaacbcbc" * 5, 4, with_baseline=True))
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError, match="truncated"):
+            load_index(blob[:cut])
+    with pytest.raises(ValueError, match="1 trailing byte"):
+        load_index(blob + b"\x00")
+
+
 def test_baseline_requires_flag():
     idx = build_index(b"abc", 2)
     with pytest.raises(ValueError):

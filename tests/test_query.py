@@ -12,7 +12,6 @@ from gfi.oracle import naive_count
 from gfi.query import (
     QueryTrace,
     count,
-    count_codes,
     pattern_factors,
     plan_branches,
     trailing_run,
@@ -47,7 +46,7 @@ def test_trailing_run():
 
 def test_plan_structure_cabaca(running_example_index):
     g = running_example_index.grammar
-    plan = plan_branches(to_codes(b"cabaca"), g)
+    plan = plan_branches(bytes(to_codes(b"cabaca").tolist()), g)
     assert not plan.paired and not plan.dead
     assert plan.core_ids == (2,)  # the ab rule
     anchors = sorted(lb.anchor for lb in plan.last_branches)
@@ -62,7 +61,7 @@ def test_plan_structure_cabaca(running_example_index):
 
 def test_plan_structure_trailing_run_transfer():
     g = gm.Grammar(lam=2, sigma=3, rhs=[bytes([1]), bytes([1, 3]), bytes([3]), bytes([3, 3])])
-    plan = plan_branches(to_codes(b"bacc"), g)  # factors b | acc
+    plan = plan_branches(bytes(to_codes(b"bacc").tolist()), g)  # factors b | acc
     assert plan.core_ids == ()  # two factors leave no interior
     by_anchor = {lb.anchor: lb.exact_ids for lb in plan.last_branches}
     assert by_anchor[bytes([3])] == (2,)  # plain: exact ac, anchor on final chunk c
@@ -73,7 +72,7 @@ def test_plan_suppresses_indistinguishable_transfer_branch():
     # stem length on the chunk grid: the transferred-run search would be
     # identical to the plain one, so only the plain branch is emitted
     g = gm.Grammar(lam=2, sigma=3, rhs=[bytes([1, 2]), bytes([2]), bytes([3, 3])])
-    plan = plan_branches(to_codes(b"babcc"), g)  # factors b | abcc
+    plan = plan_branches(bytes(to_codes(b"babcc").tolist()), g)  # factors b | abcc
     assert len(plan.last_branches) == 1
     assert plan.last_branches[0].anchor == bytes([3, 3])
     assert plan.last_branches[0].exact_ids == (1,)
@@ -82,7 +81,7 @@ def test_plan_suppresses_indistinguishable_transfer_branch():
 def test_plan_dead_when_core_chunk_missing():
     idx = build_index(b"bacabacaacbcbc", 4)
     # the pattern's interior factor abc never occurs as a rule
-    plan = plan_branches(to_codes(b"cabcaca"), idx.grammar)
+    plan = plan_branches(bytes(to_codes(b"cabcaca").tolist()), idx.grammar)
     assert plan.dead
     assert count(idx, b"cabcaca") == 0
 
@@ -162,7 +161,7 @@ def test_branches_partition_the_occurrences():
             pat = raw[i : i + m]
         else:
             pat = bytes(rng.randint(97, 96 + sigma) for _ in range(m))
-        plan = plan_branches(to_codes(pat), g)
+        plan = plan_branches(bytes(to_codes(pat).tolist()), g)
         positions = []
         for chain in chain_constraints(plan, g):
             positions.extend(simulate_positions(chain, g, level1))
@@ -189,7 +188,7 @@ def test_core_step_count_formula():
         m = rng.randint(max(lam, 12), min(n, 48))
         i = rng.randint(0, n - m)
         pat = raw[i : i + m]
-        factors = pattern_factors(to_codes(pat))
+        factors = pattern_factors(bytes(to_codes(pat).tolist()))
         if len(factors) < 3:
             continue
         expect = sum(len(chunk_string(f, lam)) for f in factors[1:-1])
@@ -224,5 +223,6 @@ def test_oracle_equivalence_randomized():
             assert idx.count_baseline(pat) == want
 
 
-def test_count_codes_rejects_out_of_alphabet(running_example_index):
-    assert count_codes(running_example_index, np.array([1, 9])) == 0
+def test_count_rejects_out_of_alphabet(running_example_index):
+    for pat in (b"az", b"cabacz", b"\x00ca", b"cabac\xff"):
+        assert count(running_example_index, pat) == 0

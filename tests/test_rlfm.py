@@ -4,7 +4,7 @@ import numpy as np
 
 from conftest import to_codes
 from gfi.bwt import bwt_of
-from gfi.rlfm import EMPTY_RANGE, BwtRange, RLFMIndex
+from gfi.rlfm import RLFMIndex
 
 LEVEL1_BWT = [5, 3, 3, 2, 4, 0, 5, 1]  # ECCBD$EA
 
@@ -33,28 +33,30 @@ def test_rank_examples():
 
 def test_backward_step_examples():
     fm = RLFMIndex.from_bwt(LEVEL1_BWT)
-    step1 = fm.backward_step(BwtRange(2, 5), 3)
-    assert (step1.lo, step1.hi) == (4, 5)
-    step2 = fm.backward_step(step1, 2)
-    assert (step2.lo, step2.hi) == (3, 3)
-    assert fm.backward_step(EMPTY_RANGE, 3).empty
+    step1 = fm.backward_step(2, 5, 3)
+    assert step1 == (4, 5)
+    step2 = fm.backward_step(*step1, 2)
+    assert step2 == (3, 3)
+    lo, hi = fm.backward_step(1, 0, 3)
+    assert lo > hi
 
 
 def test_count_symbols_in_range():
     fm = RLFMIndex.from_bwt(LEVEL1_BWT)
-    assert fm.count_symbols_in_range(BwtRange(3, 3), [1, 3, 5]) == 1
-    full = fm.full_range()
-    assert fm.count_symbols_in_range(full, range(fm.alphabet_size)) == fm.total_length
-    assert fm.count_symbols_in_range(full, []) == 0
+    assert fm.count_symbols_in_range(3, 3, [1, 3, 5]) == 1
+    full = (1, fm.total_length)
+    assert fm.count_symbols_in_range(*full, range(fm.alphabet_size)) == fm.total_length
+    assert fm.count_symbols_in_range(*full, []) == 0
 
 
 def test_initial_range_level0():
     fm = RLFMIndex.from_bwt(bwt_of(to_codes(b"bacabacaacbcbc")))
-    rng_a = fm.initial_range(1)
-    assert (rng_a.lo, rng_a.hi) == (2, 6)
-    rng_ca = fm.backward_step(rng_a, 3)
-    assert (rng_ca.lo, rng_ca.hi) == (12, 13)
-    assert fm.initial_range(9).empty
+    rng_a = fm.id_interval_range(1, 1)
+    assert rng_a == (2, 6)
+    rng_ca = fm.backward_step(*rng_a, 3)
+    assert rng_ca == (12, 13)
+    lo, hi = fm.id_interval_range(9, 9)
+    assert lo > hi
 
 
 def test_invariants():
@@ -123,7 +125,7 @@ def test_count_symbols_in_range_matches_naive():
             symbols += rng.sample(symbols, len(symbols) // 2)  # repeats count again
             rows = bwt[max(lo, 1) - 1 : max(hi, 0)]
             calls = fm.stats.rank_calls
-            got = fm.count_symbols_in_range(BwtRange(lo, hi), symbols)
+            got = fm.count_symbols_in_range(lo, hi, symbols)
             assert got == sum(rows.count(c) for c in symbols), (heads, lengths, lo, hi, symbols)
             assert fm.stats.rank_calls == calls + (0 if lo > hi else 2 * len(symbols))
 
@@ -141,20 +143,20 @@ def test_backward_step_matches_suffix_filter():
         def range_of(w):
             rows = [k for k, i in enumerate(suffixes) if t[i : i + len(w)] == w]
             if not rows:
-                return EMPTY_RANGE
-            return BwtRange(rows[0] + 1, rows[-1] + 1)
+                return None
+            return rows[0] + 1, rows[-1] + 1
 
         for _ in range(20):
             m = rng.randint(0, 6)
             w = [rng.randint(1, sigma) for _ in range(m)]
-            base = range_of(w) if m else fm.full_range()
+            base = (range_of(w) or (1, 0)) if m else (1, fm.total_length)
             for c in range(1, sigma + 1):
-                stepped = fm.backward_step(base, c)
+                lo, hi = fm.backward_step(*base, c)
                 expect = range_of([c] + w)
-                if expect.empty:
-                    assert stepped.empty
+                if expect is None:
+                    assert lo > hi
                 else:
-                    assert (stepped.lo, stepped.hi) == (expect.lo, expect.hi)
+                    assert (lo, hi) == expect
 
 
 def test_baseline_count_matches_naive():
