@@ -1,12 +1,14 @@
 """The chunked height-1 grammar dictionary and its prefix/suffix lookups.
 
-Every distinct chunk of the factorized text becomes a rule; symbol ids are
-the 1-based lexicographic ranks of the right-hand sides (id 0 is reserved
-for the terminator of the rewritten text).  The rules that start with a
-string q form one interval of lex ids, found by binary search over the
-sorted right-hand sides; the rules that end with q form one interval of
-colex ranks, found the same way over the sorted reversed right-hand
-sides and mapped back to lex ids through the colex permutation.
+The text's code bytes are cut at their S* positions and the factors are
+chopped into chunks of at most lam codes.  Every distinct chunk becomes a
+rule; symbol ids are the 1-based lexicographic ranks of the right-hand
+sides (id 0 is reserved for the terminator of the rewritten text).  The
+rules that start with a string q form one interval of lex ids, found by
+binary search over the sorted right-hand sides; the rules that end with
+q form one interval of colex ranks, found the same way over the sorted
+reversed right-hand sides and mapped back to lex ids through the colex
+permutation.
 """
 
 from __future__ import annotations
@@ -79,21 +81,16 @@ class Grammar:
         return out
 
 
-def build(text: np.ndarray, lam: int) -> tuple[Grammar, np.ndarray]:
-    """Build the dictionary over the text's chunks and rewrite the text.
+def build(codes: bytes, lam: int) -> tuple[Grammar, np.ndarray]:
+    """Build the dictionary over the code string's chunks and rewrite it.
 
     Returns the grammar and the rewritten text (one lex id per chunk);
-    expanding the ids through the rules reproduces the text.
+    expanding the ids through the rules reproduces the codes.
     """
     if lam < 1:
         raise InvalidParameterError("chunk size must be at least 1")
-    text = np.asarray(text, dtype=np.int64)
-    sigma = int(text.max()) if len(text) else 0
-    types = lms.classify(text)
-    factored = lms.factorize(text, types)
-    chunked = lms.chunk(factored, lam)
-    rhs = sorted(set(chunked.chunks))
-    grammar = Grammar(lam=lam, sigma=sigma, rhs=rhs)
+    chunks = lms.chunk(lms.factorize(codes, lms.classify(codes)), lam)
+    grammar = Grammar(lam=lam, sigma=max(codes, default=0), rhs=sorted(set(chunks)))
     ids = grammar.rhs_id
-    level1 = np.fromiter((ids[c] for c in chunked.chunks), dtype=np.int64, count=len(chunked.chunks))
+    level1 = np.fromiter((ids[c] for c in chunks), dtype=np.int64, count=len(chunks))
     return grammar, level1

@@ -7,7 +7,8 @@ BWT runs.  Rank structures, the reversed-rule list with its colex
 permutation, and the trie's lookup table are rebuilt on load, so
 serialize -> load -> serialize is byte-identical.
 
-All multi-byte integers are little-endian; counts are unsigned 32-bit.
+All multi-byte integers are little-endian; counts are unsigned 32-bit,
+and saving refuses any value that does not fit.
 """
 
 from __future__ import annotations
@@ -66,24 +67,26 @@ def build_index(data: bytes, lam: int, with_baseline: bool = False) -> TextIndex
     """Build the full index for a raw byte string."""
     if not 1 <= lam <= MAX_LAMBDA:
         raise InvalidParameterError("chunk size must be between 1 and %d" % MAX_LAMBDA)
-    text, alphabet = densify(bytes(data))
-    gram, level1 = grammar_mod.build(text.symbols, lam)
+    codes, alphabet = densify(bytes(data))
+    gram, level1 = grammar_mod.build(codes, lam)
     rlfm1 = RLFMIndex.from_bwt(bwt_mod.bwt_of(level1))
-    trie = ShortPatternTrie.build(text.symbols, lam)
+    text = np.frombuffer(codes, dtype=np.uint8)  # the suffix sort and the trie widen it
+    trie = ShortPatternTrie.build(text, lam)
     rlfm0 = None
     if with_baseline:
-        rlfm0 = RLFMIndex.from_bwt(bwt_mod.bwt_of(text.symbols))
+        rlfm0 = RLFMIndex.from_bwt(bwt_mod.bwt_of(text))
     return TextIndex(
         alphabet=alphabet, lam=lam, grammar=gram, rlfm1=rlfm1, trie=trie, rlfm0=rlfm0
     )
 
 
-def _write_runs(out: io.BytesIO, fm: RLFMIndex):
-    out.write(struct.pack("<I", fm.run_count))
-    pairs = np.empty(fm.run_count * 2, dtype="<u4")
-    pairs[0::2] = fm.run_heads
-    pairs[1::2] = fm.run_lengths
-    out.write(pairs.tobytes())
+def _write_rows(out: io.BytesIO, *columns):
+    """The row count, then the columns interleaved row by row, as u32 fields."""
+    rows = np.column_stack(columns)
+    if rows.size and (rows.min() < 0 or rows.max() >= 2**32):
+        raise ValueError("an index field does not fit in 32 bits")
+    out.write(struct.pack("<I", len(rows)))
+    out.write(rows.astype("<u4").tobytes())
 
 
 def _take(buf: io.BytesIO, size: int) -> bytes:
@@ -117,19 +120,12 @@ def save_index(index: TextIndex) -> bytes:
         out.write(struct.pack("<I", len(s)))
         out.write(s)
 
-    _write_runs(out, index.rlfm1)
-
-    trie = index.trie
-    out.write(struct.pack("<I", trie.node_count))
-    rows = np.empty(trie.node_count * 3, dtype="<u4")
-    rows[0::3] = trie.parents
-    rows[1::3] = trie.edges
-    rows[2::3] = trie.counts
-    out.write(rows.tobytes())
+    _write_rows(out, index.rlfm1.run_heads, index.rlfm1.run_lengths)
+    _write_rows(out, index.trie.parents, index.trie.edges, index.trie.counts)
 
     if index.rlfm0 is not None:
         out.write(struct.pack("<B", 1))
-        _write_runs(out, index.rlfm0)
+        _write_rows(out, index.rlfm0.run_heads, index.rlfm0.run_lengths)
     else:
         out.write(struct.pack("<B", 0))
     return out.getvalue()

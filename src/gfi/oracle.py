@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 
-from gfi.errors import InvalidPatternError
+from gfi.errors import InvalidParameterError, InvalidPatternError
 
 ARTIFICIAL_ALPHABET = b"ACGT"
 ARTIFICIAL_BASE_LENGTH = 5 * 2**10
@@ -38,8 +38,10 @@ def naive_count(text, pattern) -> int:
 def gen_random_text(sigma: int, n: int, seed: int) -> np.ndarray:
     """Uniform random codes 1..sigma; resampled until every code occurs.
 
-    Requires n >= sigma so that full coverage is possible.
+    Full coverage needs 1 <= sigma <= n; other values are rejected.
     """
+    if not 1 <= sigma <= n:
+        raise InvalidParameterError("a random text needs 1 <= sigma <= length")
     rng = random.Random(seed)
     while True:
         codes = np.array([rng.randint(1, sigma) for _ in range(n)], dtype=np.int64)

@@ -1,14 +1,15 @@
 """Pattern counting on the rewritten-text index.
 
-A pattern is factorized exactly like the text.  Interior factors are
-guaranteed to appear as complete factors around every occurrence, so their
-chunks translate to exact dictionary symbols (the core).  The first and
-last pattern factors are not: the text-side factor containing the
-pattern's head can extend further left, and the pattern's trailing
-character run can belong to the following text factor.  The planner
-therefore enumerates disjoint branches covering every alignment of the
-head within its covering chunk and both typings of the trailing run; the
-executor runs one backward search per branch and sums the results.
+A pattern is code bytes, cut into factors by the same S* scan as the
+text.  Interior factors are guaranteed to appear as complete factors
+around every occurrence, so their chunks translate to exact dictionary
+symbols (the core).  The first and last pattern factors are not: the
+text-side factor containing the pattern's head can extend further left,
+and the pattern's trailing character run can belong to the following
+text factor.  The planner therefore enumerates disjoint branches
+covering every alignment of the head within its covering chunk and both
+typings of the trailing run; the executor runs one backward search per
+branch and sums the results.
 
 Patterns shorter than the chunk size are answered by the short-pattern
 trie instead.
@@ -17,8 +18,6 @@ trie instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from gfi import lms
 from gfi.errors import InvalidPatternError
@@ -94,9 +93,8 @@ def trailing_run(s: bytes) -> int:
 
 
 def pattern_factors(codes: bytes) -> list[bytes]:
-    """The pattern's LMS factors; the one step that needs the codes as an array."""
-    arr = np.frombuffer(codes, dtype=np.uint8)
-    return lms.factorize(arr, lms.classify(arr)).factors
+    """The pattern's LMS factors, cut by the same scan as the text's."""
+    return lms.factorize(codes, lms.classify(codes))
 
 
 def _ids_of(grammar: Grammar, pieces) -> tuple | None:

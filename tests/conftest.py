@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from gfi.index import build_index
@@ -20,6 +19,6 @@ def artificial_index(artificial_text):
     return build_index(artificial_text, 4, with_baseline=True)
 
 
-def to_codes(s: bytes) -> np.ndarray:
-    """Letters a.. to codes 1.. for hand-written test inputs."""
-    return np.frombuffer(s, dtype=np.uint8).astype(np.int64) - 96
+def to_codes(s: bytes) -> bytes:
+    """Letters a.. to code bytes 1.. for hand-written test inputs."""
+    return bytes(c - 96 for c in s)

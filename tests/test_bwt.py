@@ -25,7 +25,7 @@ def test_suffix_array_single_symbol():
 
 
 def test_bwt_level0_running_example():
-    b = bwt_of(to_codes(b"bacabacaacbcbc"))
+    b = bwt_of(list(to_codes(b"bacabacaacbcbc")))
     letters = "".join("$" if c == 0 else chr(96 + c) for c in b.tolist())
     assert letters == "cccbbaa$ccbaaba"
 

@@ -151,6 +151,17 @@ def test_count_rejects_truncated_or_padded_index(tmp_path, capsys):
         assert "error" in err
 
 
+def test_gen_random_rejects_sigma_above_length(tmp_path, capsys):
+    out_file = tmp_path / "r.txt"
+    for sigma, length in (("5", "3"), ("0", "3")):
+        status, out, err = run(
+            capsys, "gen", "random", "--sigma", sigma, "--length", length, "-o", str(out_file)
+        )
+        assert status == 2 and out == ""
+        assert err.startswith("error:")
+    assert not out_file.exists()
+
+
 def test_count_matches_library(tmp_path, capsys):
     corpus = tmp_path / "c.txt"
     run(capsys, "gen", "random", "--sigma", "3", "--length", "500", "--seed", "11", "-o", str(corpus))

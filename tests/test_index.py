@@ -12,6 +12,8 @@ from gfi.index import (
 )
 from gfi.oracle import naive_count
 from gfi.query import count
+from gfi.rlfm import RLFMIndex
+from gfi.shorttrie import ShortPatternTrie
 
 
 def test_round_trip_running_example():
@@ -117,3 +119,23 @@ def test_baseline_requires_flag():
     idx = build_index(b"abc", 2)
     with pytest.raises(ValueError):
         idx.count_baseline(b"a")
+
+
+@pytest.mark.parametrize("alphabet", [b"bac", b"\x00bc"], ids=["unsorted", "nul"])
+def test_rejects_corrupt_alphabet(alphabet):
+    blob = bytearray(save_index(build_index(b"bacabacaacbcbc" * 5, 4, with_baseline=True)))
+    assert blob[10:13] == b"abc"  # after the 6-byte header and the u32 size
+    blob[10:13] = alphabet
+    with pytest.raises(ValueError, match="alphabet"):
+        load_index(bytes(blob))
+
+
+def test_save_refuses_fields_beyond_32_bits():
+    idx = build_index(b"bacabacaacbcbc", 4)
+    idx.rlfm1 = RLFMIndex(run_heads=[1, 0], run_lengths=[2**32 + 3, 1])
+    with pytest.raises(ValueError, match="32 bits"):
+        save_index(idx)
+    idx = build_index(b"bacabacaacbcbc", 4)
+    idx.trie = ShortPatternTrie(depth=3, parents=[0], edges=[1], counts=[2**32])
+    with pytest.raises(ValueError, match="32 bits"):
+        save_index(idx)

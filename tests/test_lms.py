@@ -1,96 +1,88 @@
 import random
 
-import numpy as np
 import pytest
 
 from conftest import to_codes
 from gfi import lms
 from gfi.errors import InvalidParameterError
-from gfi.lms import L, S, SSTAR
 
 
-def type_letters(types):
-    return "".join({L: "L", S: "S", SSTAR: "*"}[t] for t in types.types.tolist())
+def factor_letters(factors):
+    return ["".join(chr(96 + c) for c in piece) for piece in factors]
 
 
-def factor_letters(f):
-    return ["".join(chr(96 + c) for c in piece) for piece in f.factors]
+def factors_of(codes):
+    return lms.factorize(codes, lms.classify(codes))
+
+
+def sstar_by_definition(codes):
+    """S* positions straight from the suffix order; bytes order ranks $ lowest."""
+    return [
+        i
+        for i in range(1, len(codes))
+        if codes[i:] < codes[i + 1 :] and codes[i - 1 :] > codes[i:]
+    ]
 
 
 def test_classify_running_example():
-    types = lms.classify(to_codes(b"bacabacaacbcbc"))
-    assert type_letters(types) == "*L*L*L*L*SL*L*L*"
+    assert lms.classify(to_codes(b"bacabacaacbcbc")) == [1, 3, 5, 7, 10, 12]
 
 
 def test_classify_cabaca():
-    types = lms.classify(to_codes(b"cabaca"))
-    assert type_letters(types) == "*L*L*LL*"
+    assert lms.classify(to_codes(b"cabaca")) == [1, 3]
 
 
 def test_classify_unary():
-    types = lms.classify(to_codes(b"aaaa"))
-    assert type_letters(types) == "*LLLL*"
+    assert lms.classify(to_codes(b"aaaa")) == []
 
 
 def test_classify_single_char():
-    types = lms.classify(to_codes(b"z"))
-    assert type_letters(types) == "*L*"
+    assert lms.classify(to_codes(b"z")) == []
 
 
 def test_classify_is_deterministic():
     text = to_codes(b"bacabacaacbcbc")
-    a = lms.classify(text)
-    b = lms.classify(text)
-    assert np.array_equal(a.types, b.types)
+    assert lms.classify(text) == lms.classify(text)
 
 
-def test_type_array_invariants_random():
+def test_classify_matches_definition_random():
     rng = random.Random(1)
-    for _ in range(200):
-        n = rng.randint(1, 200)
-        text = np.array([rng.randint(1, 4) for _ in range(n)])
-        t = lms.classify(text).types
-        assert t[0] == SSTAR and t[n + 1] == SSTAR
-        stars = np.flatnonzero(t == SSTAR)
-        for i in stars:
-            if i > 0:
-                assert t[i - 1] == L
-        assert not np.any((t[1:] == SSTAR) & (t[:-1] == SSTAR))
+    checked = 0
+    for sigma in (1, 2, 3, 4, 255):
+        for _ in range(600):
+            n = rng.randint(1, 60)
+            codes = bytes(rng.randint(1, sigma) for _ in range(n))
+            assert lms.classify(codes) == sstar_by_definition(codes), codes
+            checked += 1
+    assert checked >= 3000
 
 
 def test_factorize_running_example():
-    text = to_codes(b"bacabacaacbcbc")
-    f = lms.factorize(text, lms.classify(text))
-    assert factor_letters(f) == ["b", "ac", "ab", "ac", "aac", "bc", "bc"]
-    assert f.starts.tolist() == [1, 2, 4, 6, 8, 11, 13]
+    assert factor_letters(factors_of(to_codes(b"bacabacaacbcbc"))) == [
+        "b", "ac", "ab", "ac", "aac", "bc", "bc"
+    ]
 
 
 def test_factorize_cabaca():
     # one factor per consecutive S* pair; the trailing run analysis happens
     # at query time, not here
-    text = to_codes(b"cabaca")
-    f = lms.factorize(text, lms.classify(text))
-    assert factor_letters(f) == ["c", "ab", "aca"]
+    assert factor_letters(factors_of(to_codes(b"cabaca"))) == ["c", "ab", "aca"]
 
 
 def test_factorize_unary():
-    text = to_codes(b"aaaa")
-    f = lms.factorize(text, lms.classify(text))
-    assert factor_letters(f) == ["aaaa"]
+    assert factor_letters(factors_of(to_codes(b"aaaa"))) == ["aaaa"]
 
 
 def test_factorize_properties_random():
     rng = random.Random(2)
     for _ in range(200):
         n = rng.randint(1, 300)
-        text = np.array([rng.randint(1, 3) for _ in range(n)])
-        types = lms.classify(text)
-        f = lms.factorize(text, types)
-        joined = b"".join(f.factors)
-        assert joined == text.astype(np.uint8).tobytes()
-        stars_in_text = int(np.count_nonzero(types.types[: n + 1] == SSTAR))
-        assert len(f.factors) == stars_in_text
-        for piece in f.factors[1:]:
+        text = bytes(rng.randint(1, 3) for _ in range(n))
+        sstar = lms.classify(text)
+        factors = lms.factorize(text, sstar)
+        assert b"".join(factors) == text
+        assert len(factors) == len(sstar) + 1
+        for piece in factors[1:]:
             assert len(piece) >= 2
 
 
@@ -101,19 +93,17 @@ def test_equal_windows_share_internal_factor_starts():
     rng = random.Random(3)
     for _ in range(30):
         n = rng.randint(20, 120)
-        text = np.array([rng.randint(1, 3) for _ in range(n)])
-        types = lms.classify(text).types
+        text = bytes(rng.randint(1, 3) for _ in range(n))
+        sstar = set(lms.classify(text))
         k = rng.randint(4, 10)
         seen = {}
         for i in range(n - k + 1):
-            window = tuple(text[i : i + k].tolist())
+            window = text[i : i + k]
             run = 1
             while run < k and window[k - run - 1] == window[-1]:
                 run += 1
             # positions whose type resolves inside the window
-            local = tuple(
-                d for d in range(1, k - run) if types[i + d + 1] == SSTAR
-            )
+            local = tuple(d for d in range(1, k - run) if i + d in sstar)
             if window in seen:
                 assert seen[window] == local
             else:
@@ -121,34 +111,25 @@ def test_equal_windows_share_internal_factor_starts():
 
 
 def test_chunk_running_example_lam2():
-    text = to_codes(b"bacabacaacbcbc")
-    f = lms.factorize(text, lms.classify(text))
-    chunked = lms.chunk(f, 2)
-    letters = ["".join(chr(96 + c) for c in piece) for piece in chunked.chunks]
-    assert letters == ["b", "ac", "ab", "ac", "aa", "c", "bc", "bc"]
-    assert chunked.is_factor_end == [True, True, True, True, False, True, True, True]
+    chunks = lms.chunk(factors_of(to_codes(b"bacabacaacbcbc")), 2)
+    assert factor_letters(chunks) == ["b", "ac", "ab", "ac", "aa", "c", "bc", "bc"]
 
 
 def test_chunk_unit():
-    text = to_codes(b"bacabacaacbcbc")
-    f = lms.factorize(text, lms.classify(text))
-    chunked = lms.chunk(f, 1)
-    assert all(len(piece) == 1 for piece in chunked.chunks)
-    assert b"".join(chunked.chunks) == b"".join(f.factors)
+    factors = factors_of(to_codes(b"bacabacaacbcbc"))
+    chunks = lms.chunk(factors, 1)
+    assert all(len(piece) == 1 for piece in chunks)
+    assert b"".join(chunks) == b"".join(factors)
 
 
 def test_chunk_wide_enough_is_identity():
-    text = to_codes(b"bacabacaacbcbc")
-    f = lms.factorize(text, lms.classify(text))
-    chunked = lms.chunk(f, 4)
-    assert chunked.chunks == f.factors
+    factors = factors_of(to_codes(b"bacabacaacbcbc"))
+    assert lms.chunk(factors, 4) == factors
 
 
 def test_chunk_rejects_zero():
-    text = to_codes(b"ab")
-    f = lms.factorize(text, lms.classify(text))
     with pytest.raises(InvalidParameterError):
-        lms.chunk(f, 0)
+        lms.chunk(factors_of(to_codes(b"ab")), 0)
 
 
 def test_chunk_shape_random():
@@ -156,19 +137,13 @@ def test_chunk_shape_random():
     for _ in range(100):
         n = rng.randint(1, 200)
         lam = rng.randint(1, 8)
-        text = np.array([rng.randint(1, 4) for _ in range(n)])
-        f = lms.factorize(text, lms.classify(text))
-        chunked = lms.chunk(f, lam)
-        assert b"".join(chunked.chunks) == b"".join(f.factors)
-        pos = 0
-        for factor in f.factors:
-            pieces = []
-            while True:
-                pieces.append(chunked.chunks[pos])
-                if chunked.is_factor_end[pos]:
-                    pos += 1
-                    break
-                pos += 1
+        factors = factors_of(bytes(rng.randint(1, 4) for _ in range(n)))
+        chunks = iter(lms.chunk(factors, lam))
+        for factor in factors:
+            pieces = [next(chunks)]
+            while sum(map(len, pieces)) < len(factor):
+                pieces.append(next(chunks))
             assert all(len(p) == lam for p in pieces[:-1])
             assert 1 <= len(pieces[-1]) <= lam
             assert b"".join(pieces) == factor
+        assert next(chunks, None) is None

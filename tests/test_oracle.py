@@ -3,9 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import to_codes
 from gfi.bwt import suffix_array
-from gfi.errors import InvalidPatternError
+from gfi.errors import InvalidParameterError, InvalidPatternError
 from gfi.oracle import (
     ARTIFICIAL_BASE_LENGTH,
     ARTIFICIAL_COPIES,
@@ -17,15 +16,15 @@ from gfi.oracle import (
 
 
 def test_naive_count_examples():
-    text = to_codes(b"bacabacaacbcbc")
-    assert naive_count(text, to_codes(b"ca")) == 2
-    assert naive_count(text, to_codes(b"a")) == 5
-    assert naive_count(text, to_codes(b"bacabacaacbcbcx")) == 0
+    text = list(b"bacabacaacbcbc")
+    assert naive_count(text, list(b"ca")) == 2
+    assert naive_count(text, list(b"a")) == 5
+    assert naive_count(text, list(b"bacabacaacbcbcx")) == 0
 
 
 def test_naive_count_rejects_empty_pattern():
     with pytest.raises(InvalidPatternError):
-        naive_count(to_codes(b"ab"), [])
+        naive_count(list(b"ab"), [])
 
 
 def test_naive_count_agrees_with_suffix_array_filter():
@@ -45,6 +44,12 @@ def test_naive_count_agrees_with_suffix_array_filter():
 
 def test_gen_random_unary():
     assert gen_random_text(1, 5, 123).tolist() == [1, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("sigma, n", [(5, 3), (2, 1), (0, 4), (-1, 4)])
+def test_gen_random_rejects_impossible_coverage(sigma, n):
+    with pytest.raises(InvalidParameterError):
+        gen_random_text(sigma, n, 0)
 
 
 def test_gen_random_deterministic_and_covering():

@@ -46,7 +46,7 @@ def test_trailing_run():
 
 def test_plan_structure_cabaca(running_example_index):
     g = running_example_index.grammar
-    plan = plan_branches(bytes(to_codes(b"cabaca").tolist()), g)
+    plan = plan_branches(to_codes(b"cabaca"), g)
     assert not plan.paired and not plan.dead
     assert plan.core_ids == (2,)  # the ab rule
     anchors = sorted(lb.anchor for lb in plan.last_branches)
@@ -61,7 +61,7 @@ def test_plan_structure_cabaca(running_example_index):
 
 def test_plan_structure_trailing_run_transfer():
     g = gm.Grammar(lam=2, sigma=3, rhs=[bytes([1]), bytes([1, 3]), bytes([3]), bytes([3, 3])])
-    plan = plan_branches(bytes(to_codes(b"bacc").tolist()), g)  # factors b | acc
+    plan = plan_branches(to_codes(b"bacc"), g)  # factors b | acc
     assert plan.core_ids == ()  # two factors leave no interior
     by_anchor = {lb.anchor: lb.exact_ids for lb in plan.last_branches}
     assert by_anchor[bytes([3])] == (2,)  # plain: exact ac, anchor on final chunk c
@@ -72,7 +72,7 @@ def test_plan_suppresses_indistinguishable_transfer_branch():
     # stem length on the chunk grid: the transferred-run search would be
     # identical to the plain one, so only the plain branch is emitted
     g = gm.Grammar(lam=2, sigma=3, rhs=[bytes([1, 2]), bytes([2]), bytes([3, 3])])
-    plan = plan_branches(bytes(to_codes(b"babcc").tolist()), g)  # factors b | abcc
+    plan = plan_branches(to_codes(b"babcc"), g)  # factors b | abcc
     assert len(plan.last_branches) == 1
     assert plan.last_branches[0].anchor == bytes([3, 3])
     assert plan.last_branches[0].exact_ids == (1,)
@@ -81,7 +81,7 @@ def test_plan_suppresses_indistinguishable_transfer_branch():
 def test_plan_dead_when_core_chunk_missing():
     idx = build_index(b"bacabacaacbcbc", 4)
     # the pattern's interior factor abc never occurs as a rule
-    plan = plan_branches(bytes(to_codes(b"cabcaca").tolist()), idx.grammar)
+    plan = plan_branches(to_codes(b"cabcaca"), idx.grammar)
     assert plan.dead
     assert count(idx, b"cabcaca") == 0
 
@@ -153,15 +153,14 @@ def test_branches_partition_the_occurrences():
         n = rng.randint(4, 120)
         raw = bytes(rng.randint(97, 96 + sigma) for _ in range(n))
         lam = rng.randint(1, 4)
-        text = to_codes(raw)
-        g, level1 = gm.build(text, lam)
+        g, level1 = gm.build(to_codes(raw), lam)
         m = rng.randint(lam, min(n, 24))
         if rng.random() < 0.7:
             i = rng.randint(0, n - m)
             pat = raw[i : i + m]
         else:
             pat = bytes(rng.randint(97, 96 + sigma) for _ in range(m))
-        plan = plan_branches(bytes(to_codes(pat).tolist()), g)
+        plan = plan_branches(to_codes(pat), g)
         positions = []
         for chain in chain_constraints(plan, g):
             positions.extend(simulate_positions(chain, g, level1))
@@ -188,7 +187,7 @@ def test_core_step_count_formula():
         m = rng.randint(max(lam, 12), min(n, 48))
         i = rng.randint(0, n - m)
         pat = raw[i : i + m]
-        factors = pattern_factors(bytes(to_codes(pat).tolist()))
+        factors = pattern_factors(to_codes(pat))
         if len(factors) < 3:
             continue
         expect = sum(len(chunk_string(f, lam)) for f in factors[1:-1])
@@ -210,7 +209,7 @@ def test_oracle_equivalence_randomized():
         raw = bytes(rng.randint(97, 96 + sigma) for _ in range(n))
         lam = rng.randint(1, 8)
         idx = build_index(raw, lam, with_baseline=True)
-        text = to_codes(raw)
+        text = list(raw)
         for _ in range(20):
             m = rng.randint(1, 64)
             if rng.random() < 0.5 and n >= m:
@@ -218,7 +217,7 @@ def test_oracle_equivalence_randomized():
                 pat = raw[i : i + m]
             else:
                 pat = bytes(rng.randint(97, 96 + sigma) for _ in range(m))
-            want = naive_count(text, to_codes(pat))
+            want = naive_count(text, list(pat))
             assert count(idx, pat) == want, (raw, lam, pat)
             assert idx.count_baseline(pat) == want
 

@@ -16,7 +16,7 @@ def sorted_suffixes(s):
 
 def test_run_counts():
     assert RLFMIndex.from_bwt(LEVEL1_BWT).run_count == 7  # ECCBD$EA
-    table1 = to_codes(b"cccbbaa").tolist() + [0] + to_codes(b"ccbaaba").tolist()
+    table1 = list(to_codes(b"cccbbaa")) + [0] + list(to_codes(b"ccbaaba"))
     assert RLFMIndex.from_bwt(table1).run_count == 9
     assert RLFMIndex.from_bwt([1, 1, 1, 0]).run_count == 2
 
@@ -26,7 +26,7 @@ def test_rank_examples():
     assert fm.rank(3, 5) == 2
     assert fm.rank(3, 0) == 0
     assert fm.rank(99, 4) == 0
-    table1 = to_codes(b"cccbbaa").tolist() + [0] + to_codes(b"ccbaaba").tolist()
+    table1 = list(to_codes(b"cccbbaa")) + [0] + list(to_codes(b"ccbaaba"))
     fm0 = RLFMIndex.from_bwt(table1)
     assert fm0.rank(3, 6) == 3
 
@@ -50,7 +50,7 @@ def test_count_symbols_in_range():
 
 
 def test_initial_range_level0():
-    fm = RLFMIndex.from_bwt(bwt_of(to_codes(b"bacabacaacbcbc")))
+    fm = RLFMIndex.from_bwt(bwt_of(list(to_codes(b"bacabacaacbcbc"))))
     rng_a = fm.id_interval_range(1, 1)
     assert rng_a == (2, 6)
     rng_ca = fm.backward_step(*rng_a, 3)

@@ -9,7 +9,7 @@ from gfi.shorttrie import ShortPatternTrie
 
 
 def test_counts_running_example():
-    trie = ShortPatternTrie.build(to_codes(b"bacabacaacbcbc"), 4)
+    trie = ShortPatternTrie.build(list(to_codes(b"bacabacaacbcbc")), 4)
     assert trie.count(bytes([1])) == 5  # a
     assert trie.count(bytes([2, 3])) == 2  # bc
     assert trie.count(bytes([3, 3])) == 0
@@ -17,7 +17,7 @@ def test_counts_running_example():
 
 
 def test_depth_zero_trie_is_empty():
-    trie = ShortPatternTrie.build(to_codes(b"abc"), 1)
+    trie = ShortPatternTrie.build(list(to_codes(b"abc")), 1)
     assert trie.node_count == 0
 
 
