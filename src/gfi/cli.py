@@ -10,6 +10,7 @@ import numpy as np
 
 from gfi import index as index_mod
 from gfi import oracle
+from gfi.errors import InvalidParameterError
 from gfi.query import count as query_count
 
 
@@ -83,6 +84,8 @@ def _cmd_gen(args) -> int:
     if args.kind == "artificial":
         data = oracle.gen_artificial(args.mutation, args.seed)
     else:
+        if args.sigma > 255:
+            raise InvalidParameterError("--sigma must be at most 255: codes are written as bytes")
         codes = oracle.gen_random_text(args.sigma, args.length, args.seed)
         offset = 96 if args.sigma <= 26 else 0  # a.. letters when they fit
         data = bytes(offset + c for c in codes.tolist())

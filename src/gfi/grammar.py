@@ -37,7 +37,7 @@ class Grammar:
     rhs: list[bytes]  # lex sorted; index i holds the rule for id i+1
     rhs_id: dict[bytes, int] = field(init=False, repr=False)
     reversed_rhs: list[bytes] = field(init=False, repr=False)  # sorted, i.e. colex order
-    colex_to_lex: np.ndarray = field(init=False, repr=False)
+    colex_to_lex: memoryview = field(init=False, repr=False)  # lex ids in colex order
     lex_to_colex: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -45,9 +45,10 @@ class Grammar:
         rev = [s[::-1] for s in self.rhs]
         order = sorted(range(len(rev)), key=rev.__getitem__)
         self.reversed_rhs = [rev[i] for i in order]
-        self.colex_to_lex = np.array(order, dtype=np.int64) + 1
+        colex_to_lex = np.array(order, dtype=np.int64) + 1
         self.lex_to_colex = np.zeros(len(self.rhs) + 1, dtype=np.int64)
-        self.lex_to_colex[self.colex_to_lex] = np.arange(1, len(self.rhs) + 1)
+        self.lex_to_colex[colex_to_lex] = np.arange(1, len(self.rhs) + 1)
+        self.colex_to_lex = memoryview(colex_to_lex)
 
     @property
     def size(self) -> int:

@@ -18,12 +18,21 @@ ARTIFICIAL_BASE_LENGTH = 5 * 2**10
 ARTIFICIAL_COPIES = 100
 
 
+def _codes(seq) -> np.ndarray:
+    if isinstance(seq, (bytes, bytearray)):
+        return np.frombuffer(seq, dtype=np.uint8)
+    return np.asarray(seq, dtype=np.int64)
+
+
 def naive_count(text, pattern) -> int:
-    """Occurrences of pattern in text by direct scan (overlaps included)."""
+    """Occurrences of pattern in text by direct scan (overlaps included).
+
+    Text and pattern are each code bytes or a sequence of ints.
+    """
     if len(pattern) == 0:
         raise InvalidPatternError("empty pattern")
-    t = np.asarray(text, dtype=np.int64)
-    p = np.asarray(pattern, dtype=np.int64)
+    t = _codes(text)
+    p = _codes(pattern)
     m, n = len(p), len(t)
     if m > n:
         return 0

@@ -162,6 +162,20 @@ def test_gen_random_rejects_sigma_above_length(tmp_path, capsys):
     assert not out_file.exists()
 
 
+def test_gen_random_rejects_sigma_above_255(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking sigma")
+
+    monkeypatch.setattr("gfi.oracle.gen_random_text", no_sampling)
+    out_file = tmp_path / "r.txt"
+    status, out, err = run(
+        capsys, "gen", "random", "--sigma", "256", "--length", "2000", "-o", str(out_file)
+    )
+    assert status == 2 and out == ""
+    assert err.startswith("error:") and "255" in err
+    assert not out_file.exists()
+
+
 def test_count_matches_library(tmp_path, capsys):
     corpus = tmp_path / "c.txt"
     run(capsys, "gen", "random", "--sigma", "3", "--length", "500", "--seed", "11", "-o", str(corpus))

@@ -22,9 +22,25 @@ def test_naive_count_examples():
     assert naive_count(text, list(b"bacabacaacbcbcx")) == 0
 
 
+def test_naive_count_takes_code_bytes():
+    text = b"bacabacaacbcbc"
+    assert naive_count(text, b"ca") == 2
+    assert naive_count(bytearray(text), b"a") == 5
+    assert naive_count(text, list(b"cb")) == 2
+    assert naive_count(list(text), b"bacabacaacbcbcx") == 0
+    rng = random.Random(18)
+    for _ in range(200):
+        t = bytes(rng.choice(b"\x01\x02\xff") for _ in range(rng.randint(1, 60)))
+        p = bytes(rng.choice(b"\x01\x02\xff") for _ in range(rng.randint(1, 4)))
+        want = sum(t[i : i + len(p)] == p for i in range(len(t) - len(p) + 1))
+        assert naive_count(t, p) == naive_count(list(t), list(p)) == want
+
+
 def test_naive_count_rejects_empty_pattern():
     with pytest.raises(InvalidPatternError):
         naive_count(list(b"ab"), [])
+    with pytest.raises(InvalidPatternError):
+        naive_count(b"ab", b"")
 
 
 def test_naive_count_agrees_with_suffix_array_filter():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -111,6 +112,20 @@ def test_rank_exact_on_gapped_alphabets():
                 assert fm.stats.rank_calls == calls + 1
 
 
+def spanned_runs(lengths, lo, hi):
+    """Runs from the one covering row lo-1 to the one covering row hi.
+
+    Rows past the end are clamped to the last row; row 0 and before lie
+    in run -1.
+    """
+    ends = list(itertools.accumulate(lengths))
+
+    def run_of(i):
+        return sum(1 for e in ends if e < min(i, ends[-1])) if i >= 1 else -1
+
+    return run_of(hi) - run_of(lo - 1) + 1
+
+
 def test_count_symbols_in_range_matches_naive():
     rng = random.Random(15)
     for _ in range(200):
@@ -127,7 +142,43 @@ def test_count_symbols_in_range_matches_naive():
             calls = fm.stats.rank_calls
             got = fm.count_symbols_in_range(lo, hi, symbols)
             assert got == sum(rows.count(c) for c in symbols), (heads, lengths, lo, hi, symbols)
-            assert fm.stats.rank_calls == calls + (0 if lo > hi else 2 * len(symbols))
+            expect_calls = 0 if lo > hi else min(spanned_runs(lengths, lo, hi), 2 * len(symbols))
+            assert fm.stats.rank_calls == calls + expect_calls
+
+
+def test_count_symbols_in_range_scans_or_bisects():
+    """A narrow range with many symbols scans its runs; a wide one with few bisects."""
+    rng = random.Random(16)
+    scans = bisects = 0
+    for _ in range(300):
+        heads, lengths = random_runs(rng)
+        fm = RLFMIndex(heads, lengths)
+        bwt = [h for h, length in zip(heads, lengths) for _ in range(length)]
+        n = len(bwt)
+        for _ in range(20):
+            if rng.random() < 0.5:
+                lo = rng.randint(1, n)  # lo = 1 starts before the first run
+                hi = min(n, lo + rng.randint(0, 4))
+                symbols = [rng.randint(-1, fm.alphabet_size) for _ in range(rng.randint(3, 9))]
+                symbols += [rng.choice(heads), rng.choice(heads)]
+                scan = True
+            elif len(heads) >= 7:
+                lo = rng.randint(1, lengths[0] + 1)
+                hi = n - rng.randint(0, lengths[-1])
+                symbols = [rng.choice(heads) for _ in range(rng.randint(1, 2))]
+                scan = False
+            else:
+                continue
+            span = spanned_runs(lengths, lo, hi)
+            assert (span <= 2 * len(symbols)) == scan
+            calls = fm.stats.rank_calls
+            got = fm.count_symbols_in_range(lo, hi, symbols)
+            rows = bwt[lo - 1 : hi]
+            assert got == sum(rows.count(c) for c in symbols), (heads, lengths, lo, hi, symbols)
+            assert fm.stats.rank_calls == calls + (span if scan else 2 * len(symbols))
+            scans += scan
+            bisects += not scan
+    assert scans > 2000 and bisects > 1500
 
 
 def test_backward_step_matches_suffix_filter():
