@@ -3,8 +3,7 @@
 Codes are assigned in byte order starting at 1.  Code 0 is reserved
 throughout the package for the virtual terminators, so it never appears
 in a text.  Codes fit in one byte, so a text and its patterns are code
-bytes, mapped to and from the raw bytes by one 256-byte translate table
-each way.
+bytes, mapped from the raw bytes by one 256-byte translate table.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ class DenseAlphabet:
         for code, byte in enumerate(code_to_byte, start=1):
             table[byte] = code
         self.byte_to_code = bytes(table)
-        self.decode_table = (b"\0" + code_to_byte).ljust(256, b"\0")
 
     @property
     def size(self) -> int:
@@ -34,15 +32,12 @@ class DenseAlphabet:
         codes = data.translate(self.byte_to_code)
         return None if 0 in codes else codes
 
-    def decode(self, codes: bytes) -> bytes:
-        return codes.translate(self.decode_table)
-
 
 def densify(raw: bytes) -> tuple[bytes, DenseAlphabet]:
     """Remap raw bytes to code bytes 1..sigma preserving byte order.
 
     A single trailing NUL terminator is stripped; any other NUL is rejected.
-    Decoding the codes through the alphabet reproduces the input.
+    Code c stands for the byte ``alphabet.code_to_byte[c - 1]``.
     """
     if raw.endswith(b"\x00"):
         raw = raw[:-1]

@@ -52,19 +52,6 @@ def bwt_of(s) -> np.ndarray:
     return t[sa - 2]
 
 
-def inverse_bwt(bwt) -> np.ndarray:
-    """Recover s from its BWT by walking the psi permutation (terminator excluded)."""
-    bwt = np.asarray(bwt, dtype=np.int64)
-    n = len(bwt)
-    order = np.argsort(bwt, kind="stable")  # maps F row -> BWT row
-    out = np.empty(n - 1, dtype=np.int64)
-    row = int(np.flatnonzero(bwt == 0)[0])  # row of the full-string suffix
-    for i in range(n - 1):
-        row = int(order[row])
-        out[i] = bwt[row]
-    return out
-
-
 def run_count(seq) -> int:
     """Number of maximal equal-symbol runs."""
     seq = np.asarray(seq)

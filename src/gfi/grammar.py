@@ -55,9 +55,6 @@ class Grammar:
         """Number of rules (the rewritten text's alphabet size, sans terminator)."""
         return len(self.rhs)
 
-    def id_of(self, s: bytes) -> int | None:
-        return self.rhs_id.get(s)
-
     def prefix_range(self, q: bytes) -> tuple[int, int]:
         """Inclusive lex-id interval of rules whose rhs starts with q.
 

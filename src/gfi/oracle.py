@@ -45,17 +45,20 @@ def naive_count(text, pattern) -> int:
 
 
 def gen_random_text(sigma: int, n: int, seed: int) -> np.ndarray:
-    """Uniform random codes 1..sigma; resampled until every code occurs.
+    """Random codes 1..sigma of length n in which every code occurs.
 
-    Full coverage needs 1 <= sigma <= n; other values are rejected.
+    Each code 1..sigma is put once at its own position, the positions
+    drawn uniformly without replacement; every other position holds a
+    code drawn uniformly from 1..sigma, independently.  The time is
+    linear in n for any 1 <= sigma <= n; other values are rejected.
     """
     if not 1 <= sigma <= n:
         raise InvalidParameterError("a random text needs 1 <= sigma <= length")
     rng = random.Random(seed)
-    while True:
-        codes = np.array([rng.randint(1, sigma) for _ in range(n)], dtype=np.int64)
-        if len(np.unique(codes)) == sigma:
-            return codes
+    codes = [rng.randint(1, sigma) for _ in range(n)]
+    for code, pos in enumerate(rng.sample(range(n), sigma), start=1):
+        codes[pos] = code
+    return np.array(codes, dtype=np.int64)
 
 
 def gen_artificial(mutation_percent: float, seed: int) -> bytes:

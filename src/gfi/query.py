@@ -98,13 +98,9 @@ def pattern_factors(codes: bytes) -> list[bytes]:
 
 
 def _ids_of(grammar: Grammar, pieces) -> tuple | None:
-    out = []
-    for piece in pieces:
-        sym = grammar.id_of(piece)
-        if sym is None:
-            return None
-        out.append(sym)
-    return tuple(out)
+    """The rule ids of the pieces, or None when one of them is not a rule."""
+    ids = tuple(map(grammar.rhs_id.get, pieces))
+    return None if None in ids else ids
 
 
 def _run_pieces(grammar: Grammar, run_char: int, run_len: int):
@@ -153,10 +149,7 @@ def _plan_composite(factors: list[bytes], grammar: Grammar) -> BranchPlan:
     lam = grammar.lam
     plan = BranchPlan()
 
-    core_pieces = []
-    for f in factors[1:-1]:
-        core_pieces.extend(chunk_string(f, lam))
-    core = _ids_of(grammar, core_pieces)
+    core = _ids_of(grammar, lms.chunk(factors[1:-1], lam))
     if core is None:
         plan.dead = True
         return plan

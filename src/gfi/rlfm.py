@@ -1,18 +1,18 @@
 """Run-length FM machinery over an integer alphabet.
 
 The BWT is kept as its runs in one flat layout: the runs' start positions
-in BWT order, the run ids grouped by head symbol (BWT order within each
-group) with each symbol's first slot in that grouping, and the prefix
-sums of the run lengths taken in the grouped order, whose value at a
-symbol's first slot is its C entry.  Rank follows Maekinen and Navarro's
-run-length FM index: one binary search finds the run covering the
-position, a second one, bounded to the symbol's group, counts the
-symbol's runs before it, whose total length is one prefix-sum lookup,
-and the covering run adds its partial length when it is a run of the
-symbol.  Queries read the arrays through memoryviews, so they index to
-plain ints and call ``bisect`` without any numpy dispatch.  The same
-structure serves the raw-text baseline index and the rewritten-text
-index.
+in BWT order, the same starts grouped by head symbol (BWT order, so
+ascending, within each group) with each symbol's first slot in that
+grouping, and the prefix sums of the run lengths taken in the grouped
+order, whose value at a symbol's first slot is its C entry.  Rank follows
+Maekinen and Navarro's run-length FM index and reads only the queried
+symbol's runs: one binary search over the symbol's run starts finds its
+last run starting at or before the position; the total length of the
+symbol's runs before that one is one prefix-sum lookup, and the run adds
+its part up to the position, capped at its length (the next prefix sum).
+Queries read the arrays through memoryviews, so they index to plain ints
+and call ``bisect`` without any numpy dispatch.  The same structure
+serves the raw-text baseline index and the rewritten-text index.
 
 A range of BWT rows is a 1-based inclusive ``(lo, hi)`` pair of ints,
 empty when ``lo > hi``.  Every rank, counted or inlined, bumps a
@@ -31,7 +31,7 @@ ranks of backward steps.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -58,26 +58,28 @@ class RLFMIndex:
     def __init__(self, run_heads, run_lengths):
         self.run_heads = np.asarray(run_heads, dtype=np.int64)
         self.run_lengths = np.asarray(run_lengths, dtype=np.int64)
-        if np.any(self.run_heads[1:] == self.run_heads[:-1]):
-            raise ValueError("adjacent runs must differ")
-        self.total_length = int(self.run_lengths.sum())
         self.alphabet_size = int(self.run_heads.max()) + 1 if len(self.run_heads) else 1
+        # The narrowest dtype that holds every head makes the checks cheap
+        # and lets the stable sort take numpy's radix path instead of
+        # timsort on int64.
+        narrow = self.run_heads.astype(np.min_scalar_type(self.alphabet_size - 1))
+        if np.any(narrow[1:] == narrow[:-1]):
+            raise ValueError("adjacent runs must differ")
         # 1-based start position of each run
         starts = np.ones(len(self.run_heads), dtype=np.int64)
         np.cumsum(self.run_lengths[:-1], out=starts[1:])
         starts[1:] += 1
-        # The runs of c are order[first[c]:first[c+1]], in BWT order, and
-        # mass[j] is the total length of the runs order[:j].
-        # The narrowest dtype that holds every head lets the stable sort
-        # take numpy's radix path instead of timsort on int64.
-        narrow = self.run_heads.astype(np.min_scalar_type(self.alphabet_size - 1))
+        # Slots first[c]:first[c+1] hold the runs of c in BWT order:
+        # cstarts[j] is the start of the run in slot j, ascending within the
+        # group, and mass[j] is the total length of the runs in slots :j.
         order = np.argsort(narrow, kind="stable")
         first = np.searchsorted(self.run_heads[order], np.arange(self.alphabet_size + 1))
         mass = np.zeros(len(self.run_heads) + 1, dtype=np.int64)
         np.cumsum(self.run_lengths[order], out=mass[1:])
+        self.total_length = int(mass[-1])
         self.heads = memoryview(self.run_heads)
         self.run_starts = memoryview(starts)
-        self.order = memoryview(order)
+        self.cstarts = memoryview(starts[order])
         self.first = memoryview(first)
         self.mass = memoryview(mass)
         self.C = memoryview(mass[first])
@@ -102,13 +104,12 @@ class RLFMIndex:
             return 0
         if i > self.total_length:
             i = self.total_length
-        k = bisect_right(self.run_starts, i) - 1  # the run covering i
-        a, b = self.first[c], self.first[c + 1]
-        j = bisect_left(self.order, k, a, b)  # a + runs of c before run k
-        before = self.mass[j] - self.C[c]
-        if j < b and self.order[j] == k:
-            before += i - self.run_starts[k] + 1
-        return before
+        a = self.first[c]
+        j = bisect_right(self.cstarts, i, a, self.first[c + 1])  # runs of c starting by i
+        if j == a:
+            return 0
+        mass = self.mass
+        return min(mass[j - 1] + i - self.cstarts[j - 1] + 1, mass[j]) - mass[a]
 
     def id_interval_range(self, lo_id: int, hi_id: int) -> tuple[int, int]:
         """Rows whose suffix starts with any symbol in the id interval."""
@@ -122,9 +123,9 @@ class RLFMIndex:
         """Extend the matched string one symbol to the left.
 
         Two rank calls, inlined because this is the inner loop of every
-        search: the new range is C[c] + rank(c, i) at both ends, which
-        is mass[j] plus the partial run, and the upper end's slot j is
-        searched from the lower end's.
+        search: the new range is C[c] + rank(c, i) at both ends, each one
+        bisect over c's run starts, and the upper end's slot is searched
+        from the lower end's.
         """
         if lo > hi or c < 0 or c >= self.alphabet_size:
             return 1, 0
@@ -134,19 +135,25 @@ class RLFMIndex:
         lo = lo - 1 if lo <= n else n  # rows before the range
         if hi > n:
             hi = n
-        starts, order, mass = self.run_starts, self.order, self.mass
-        b = self.first[c + 1]
-        k = bisect_right(starts, lo) - 1  # -1 when lo is 0: no run of c
-        j = bisect_left(order, k, self.first[c], b)
-        new_lo = mass[j] + 1
-        if j < b and order[j] == k:
-            new_lo += lo - starts[k] + 1
-        k = bisect_right(starts, hi) - 1
-        j = bisect_left(order, k, j, b)
-        new_hi = mass[j]
-        if j < b and order[j] == k:
-            new_hi += hi - starts[k] + 1
-        return new_lo, new_hi
+        cstarts, mass = self.cstarts, self.mass
+        a, b = self.first[c], self.first[c + 1]
+        # rank as in rank(), with its min() spelt out as a comparison,
+        # which is cheaper than a builtin call in this loop
+        j = bisect_right(cstarts, lo, a, b)
+        if j > a:
+            new_lo = mass[j - 1] + lo - cstarts[j - 1] + 1
+            if new_lo > mass[j]:
+                new_lo = mass[j]
+        else:
+            new_lo = mass[a]
+        j = bisect_right(cstarts, hi, j, b)
+        if j > a:
+            new_hi = mass[j - 1] + hi - cstarts[j - 1] + 1
+            if new_hi > mass[j]:
+                new_hi = mass[j]
+        else:
+            new_hi = mass[a]
+        return new_lo + 1, new_hi
 
     def count_symbols_in_range(self, lo: int, hi: int, symbols) -> int:
         """Total occurrences of the given symbols within the row range.
@@ -178,18 +185,17 @@ class RLFMIndex:
                 begin = end
             return sum(map(rows.get, symbols, repeat(0)))
         self.stats.rank_calls += 2 * len(symbols)
-        order, mass, first = self.order, self.mass, self.first
-        off_lo = lo - starts[k_lo] + 1
-        off_hi = hi - starts[k_hi] + 1
+        cstarts, mass, first = self.cstarts, self.mass, self.first
         size = self.alphabet_size
         total = 0
         for c in symbols:
             if 0 <= c < size:
-                b = first[c + 1]
-                j = bisect_left(order, k_lo, first[c], b)
-                total -= mass[j] + off_lo if j < b and order[j] == k_lo else mass[j]
-                j = bisect_left(order, k_hi, j, b)
-                total += mass[j] + off_hi if j < b and order[j] == k_hi else mass[j]
+                a, b = first[c], first[c + 1]
+                j = bisect_right(cstarts, lo, a, b)
+                below = min(mass[j - 1] + lo - cstarts[j - 1] + 1, mass[j]) if j > a else mass[a]
+                j = bisect_right(cstarts, hi, j, b)
+                upto = min(mass[j - 1] + hi - cstarts[j - 1] + 1, mass[j]) if j > a else mass[a]
+                total += upto - below
         return total
 
     def count_plain(self, codes) -> int:

@@ -119,9 +119,8 @@ def test_criterion_07_oracle_equivalence():
     cases = mismatches = 0
     for sigma, raw, lam, patterns in _suite_cases(1007):
         idx = build_index(raw, lam, with_baseline=True)
-        text = list(raw)
         for pat in patterns:
-            want = naive_count(text, list(pat))
+            want = naive_count(raw, pat)
             if count(idx, pat) != want or idx.count_baseline(pat) != want:
                 mismatches += 1
             cases += 1
@@ -197,9 +196,8 @@ def test_criterion_10_serialization_round_trip():
         blob = save_index(idx)
         loaded = load_index(blob)
         assert save_index(loaded) == blob
-        text = list(raw)
         for pat in patterns:
-            want = naive_count(text, list(pat))
+            want = naive_count(raw, pat)
             assert count(loaded, pat) == want
             assert loaded.count_baseline(pat) == want
             checked += 1

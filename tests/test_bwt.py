@@ -3,7 +3,8 @@ import random
 import numpy as np
 
 from conftest import to_codes
-from gfi.bwt import bwt_of, inverse_bwt, run_count, suffix_array
+from gfi.bwt import bwt_of, run_count, suffix_array
+from gfi.rlfm import RLFMIndex
 
 
 def naive_suffix_array(s):
@@ -53,8 +54,16 @@ def test_bwt_inversion_round_trip():
     for _ in range(60):
         n = rng.randint(1, 2000)
         sigma = rng.choice([2, 3, 26])
-        s = np.array([rng.randint(1, sigma) for _ in range(n)])
-        assert np.array_equal(inverse_bwt(bwt_of(s)), s)
+        s = [rng.randint(1, sigma) for _ in range(n)]
+        bwt = bwt_of(np.array(s)).tolist()
+        fm = RLFMIndex.from_bwt(bwt)
+        # LF from row 1 (the suffix "$") walks the text right to left.
+        row, out = 1, []
+        for _ in range(n):
+            c = bwt[row - 1]
+            out.append(c)
+            row = fm.C[c] + fm.rank(c, row)
+        assert out[::-1] == s
 
 
 def test_bwt_contains_exactly_one_terminator():

@@ -162,6 +162,15 @@ def test_gen_random_rejects_sigma_above_length(tmp_path, capsys):
     assert not out_file.exists()
 
 
+def test_gen_random_full_byte_alphabet_in_short_text(tmp_path, capsys):
+    out_file = tmp_path / "r.txt"
+    status, out, _ = run(
+        capsys, "gen", "random", "--sigma", "255", "--length", "300", "-o", str(out_file)
+    )
+    assert status == 0 and out == "%s,300\n" % out_file
+    assert set(out_file.read_bytes()) == set(range(1, 256))
+
+
 def test_gen_random_rejects_sigma_above_255(tmp_path, capsys, monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled before checking sigma")

@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -16,10 +17,10 @@ from gfi.oracle import (
 
 
 def test_naive_count_examples():
-    text = list(b"bacabacaacbcbc")
-    assert naive_count(text, list(b"ca")) == 2
-    assert naive_count(text, list(b"a")) == 5
-    assert naive_count(text, list(b"bacabacaacbcbcx")) == 0
+    text = b"bacabacaacbcbc"
+    assert naive_count(text, b"ca") == 2
+    assert naive_count(text, b"a") == 5
+    assert naive_count(text, b"bacabacaacbcbcx") == 0
 
 
 def test_naive_count_takes_code_bytes():
@@ -38,7 +39,7 @@ def test_naive_count_takes_code_bytes():
 
 def test_naive_count_rejects_empty_pattern():
     with pytest.raises(InvalidPatternError):
-        naive_count(list(b"ab"), [])
+        naive_count(b"ab", [])
     with pytest.raises(InvalidPatternError):
         naive_count(b"ab", b"")
 
@@ -66,6 +67,20 @@ def test_gen_random_unary():
 def test_gen_random_rejects_impossible_coverage(sigma, n):
     with pytest.raises(InvalidParameterError):
         gen_random_text(sigma, n, 0)
+
+
+@pytest.mark.parametrize("sigma, n", [(255, 300), (255, 255), (100, 300), (100, 150), (100, 255)])
+def test_gen_random_full_coverage_is_prompt(sigma, n):
+    # Every code must occur; drawing the whole text until it does took
+    # practically forever when sigma is close to n.
+    start = time.perf_counter()
+    codes = gen_random_text(sigma, n, 0)
+    assert time.perf_counter() - start < 2.0
+    assert len(codes) == n
+    assert sorted(set(codes.tolist())) == list(range(1, sigma + 1))
+    assert np.array_equal(codes, gen_random_text(sigma, n, 0))
+    with pytest.raises(InvalidParameterError):
+        gen_random_text(sigma, sigma - 1, 0)
 
 
 def test_gen_random_deterministic_and_covering():

@@ -238,3 +238,65 @@ def test_rank_instrumentation_counts_calls():
     assert fm.stats.step_calls == 2
     fm.stats.reset()
     assert fm.stats.rank_calls == 0
+
+
+def boundary_texts(rng):
+    """Texts over gapped ids where some symbols occur once (one BWT run) and many runs have length 1."""
+    for _ in range(40):
+        alphabet = sorted(rng.sample(range(1, 30), rng.randint(2, 7)))
+        common, once = alphabet[: max(1, len(alphabet) - 2)], alphabet[len(alphabet) - 2 :]
+        s = [rng.choice(common) for _ in range(rng.randint(1, 60))]
+        for c in once:
+            if c not in s:
+                s.insert(rng.randint(0, len(s)), c)
+        yield s
+
+
+def test_grouped_rank_at_run_boundaries():
+    """rank, backward_step and per-symbol suffix counts at every run's edges."""
+    rng = random.Random(19)
+    single_run_symbols = unit_runs = 0
+    for s in boundary_texts(rng):
+        bwt = bwt_of(np.array(s)).tolist()
+        fm = RLFMIndex.from_bwt(bwt)
+        n = len(bwt)
+        symbols = range(-1, fm.alphabet_size + 1)
+        prefix = {c: list(itertools.accumulate((x == c for x in bwt), initial=0)) for c in symbols}
+        below = {c: sum(x < c for x in bwt) for c in symbols}
+        ends = list(itertools.accumulate(fm.run_lengths.tolist()))
+        probes = sorted({p for e, length in zip(ends, fm.run_lengths.tolist())
+                         for p in (e - length, e - length + 1, e, e + 1)})  # start-1, start, end, end+1
+        single_run_symbols += sum(fm.run_heads.tolist().count(c) == 1 for c in set(s))
+        unit_runs += int(np.sum(fm.run_lengths == 1))
+
+        def rank(c, i):
+            return prefix[c][min(max(i, 0), n)] if 0 <= c < fm.alphabet_size else 0
+
+        for c in symbols:
+            for i in probes:
+                assert fm.rank(c, i) == rank(c, i), (s, c, i)
+        for p in probes:  # p = lo - 1
+            for hi in probes:
+                if hi <= p:  # lo = p + 1 must not pass hi
+                    continue
+                for c in range(fm.alphabet_size):
+                    want = (below[c] + rank(c, p) + 1, below[c] + rank(c, hi))
+                    assert fm.backward_step(p + 1, hi, c) == want, (s, c, p + 1, hi)
+                span = spanned_runs(fm.run_lengths.tolist(), p + 1, hi)
+                for width in (1, 2):
+                    if span <= 2 * width:
+                        continue  # the scan path; only the per-symbol path is probed here
+                    chosen = [rng.randint(-1, fm.alphabet_size) for _ in range(width)]
+                    calls = fm.stats.rank_calls
+                    got = fm.count_symbols_in_range(p + 1, hi, chosen)
+                    assert fm.stats.rank_calls == calls + 2 * width
+                    assert got == sum(rank(c, hi) - rank(c, p) for c in chosen), (s, p + 1, hi, chosen)
+        for _ in range(10):
+            i = rng.randint(0, len(s) - 1)
+            pattern = s[i : i + rng.randint(1, 8)]
+            fm.stats.reset()
+            got = fm.count_plain(pattern)
+            assert got == sum(s[k : k + len(pattern)] == pattern for k in range(len(s)))
+            assert fm.stats.rank_calls == 2 * len(pattern)
+            assert fm.stats.step_calls == len(pattern)
+    assert single_run_symbols >= 40 and unit_runs >= 500
