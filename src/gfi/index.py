@@ -4,7 +4,7 @@ The serialized file stores only primary data: the alphabet map, the rule
 strings in lexicographic order, the run-length compressed BWT of the
 rewritten text, the short-pattern trie nodes, and optionally the baseline
 BWT runs.  Rank structures, the reversed-rule list with its colex
-permutation, and the trie's lookup table are rebuilt on load, so
+permutation, and the trie's child-slice bounds are rebuilt on load, so
 serialize -> load -> serialize is byte-identical.
 
 All multi-byte integers are little-endian; counts are unsigned 32-bit,
@@ -157,9 +157,7 @@ def load_index(data: bytes) -> TextIndex:
 
     (node_count,) = _unpack(buf, "<I")
     rows = np.frombuffer(_take(buf, node_count * 12), dtype="<u4").astype(np.int64)
-    trie = ShortPatternTrie(
-        depth=lam - 1, parents=rows[0::3], edges=rows[1::3], counts=rows[2::3]
-    )
+    trie = ShortPatternTrie(parents=rows[0::3], edges=rows[1::3], counts=rows[2::3])
 
     (has_baseline,) = _unpack(buf, "<B")
     rlfm0 = _read_runs(buf) if has_baseline else None

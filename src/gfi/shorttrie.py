@@ -4,11 +4,17 @@ Patterns shorter than the chunk size can straddle chunk boundaries in the
 text, so they bypass the dictionary search entirely and are answered from
 this trie.  Nodes are stored as flat parallel arrays (parent, edge code,
 count) with ids assigned level by level in lexicographic order, which
-makes the serialized form deterministic.  Lookups go through a table from
-each node's label to its count, rebuilt from those arrays.
+makes the serialized form deterministic.  In that order, the level-order
+layout of Jacobson's succinct trees, the children of a node are one
+contiguous run of ids with their edge codes ascending, so one array of
+child-slice bounds, built by a single vectorised search over the parents,
+is all a lookup needs: each pattern code is one binary search over the
+current node's child edges.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -16,20 +22,30 @@ import numpy as np
 class ShortPatternTrie:
     """Trie of depth lam-1 over the dense alphabet; node counts are exact."""
 
-    def __init__(self, depth: int, parents, edges, counts):
-        self.depth = depth
-        self.parents = np.asarray(parents, dtype=np.int64)
-        self.edges = np.asarray(edges, dtype=np.int64)
-        self.counts = np.asarray(counts, dtype=np.int64)
-        if not len(self.parents) == len(self.edges) == len(self.counts):
+    def __init__(self, parents, edges, counts):
+        parents = np.asarray(parents, dtype=np.int64)
+        edges = np.asarray(edges, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        n = len(parents)
+        if not n == len(edges) == len(counts):
             raise ValueError("trie parent, edge and count arrays differ in length")
-        if np.any((self.parents < 0) | (self.parents >= np.arange(1, len(self.parents) + 1))):
+        if np.any((parents < 0) | (parents >= np.arange(1, n + 1))):
             raise ValueError("every trie node's parent must be an earlier node")
-        labels = [b""]
-        for parent, edge in zip(self.parents.tolist(), self.edges.tolist()):
-            labels.append(labels[parent] + bytes((edge,)))
-        self.height = len(labels[-1])  # labels come level by level: the last is deepest
-        self.label_counts = dict(zip(labels[1:], self.counts.tolist()))
+        if np.any(parents[1:] < parents[:-1]):
+            raise ValueError("trie nodes must come in order of their parents")
+        if np.any((parents[1:] == parents[:-1]) & (edges[1:] <= edges[:-1])):
+            raise ValueError("a trie node's child edges must strictly increase")
+        # Node p's children are the ids kids[p]+1 .. kids[p+1], and their
+        # edges are edges[kids[p]:kids[p+1]]; node ids start at 1 (0 is the root).
+        self.kids = memoryview(np.searchsorted(parents, np.arange(n + 2)))
+        self.parents = memoryview(parents)
+        self.edges = memoryview(edges)
+        self.counts = memoryview(counts)
+        # Ids come level by level, so the last node is a deepest one.
+        self.height, node = 0, n
+        while node:
+            node = self.parents[node - 1]
+            self.height += 1
 
     @classmethod
     def build(cls, text: np.ndarray, lam: int) -> "ShortPatternTrie":
@@ -58,7 +74,6 @@ class ShortPatternTrie:
             first_id += level_size
             level_size = len(level_keys)
         return cls(
-            depth=depth,
             parents=np.concatenate(parents),
             edges=np.concatenate(edges),
             counts=np.concatenate(counts),
@@ -71,4 +86,12 @@ class ShortPatternTrie:
 
     def count(self, codes: bytes) -> int:
         """Occurrences of the code bytes, 0 when no text substring spells them."""
-        return self.label_counts.get(codes, 0)
+        kids, edges = self.kids, self.edges
+        node = 0
+        for code in codes:
+            hi = kids[node + 1]
+            j = bisect_left(edges, code, kids[node], hi)
+            if j == hi or edges[j] != code:
+                return 0
+            node = j + 1
+        return self.counts[node - 1] if node else 0

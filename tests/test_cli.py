@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from conftest import corrupt_trie_rows
 from gfi.cli import main
 from gfi.oracle import naive_count
 
@@ -149,6 +151,22 @@ def test_count_rejects_truncated_or_padded_index(tmp_path, capsys):
         status, out, err = run(capsys, "count", "-x", str(idx_file), "-p", str(pat_file))
         assert status == 2 and out == ""
         assert "error" in err
+
+
+@pytest.mark.parametrize("damage", ["swapped", "duplicated"])
+def test_count_rejects_corrupt_trie_section(tmp_path, capsys, damage):
+    text_file = tmp_path / "t.txt"
+    text_file.write_bytes(b"bacabacaacbcbc" * 5)
+    idx_file = tmp_path / "t.gfi"
+    run(capsys, "build", "-i", str(text_file), "-o", str(idx_file), "--lambda", "4", "--baseline")
+    pat_file = tmp_path / "p.txt"
+    pat_file.write_bytes(b"a\nb\n")
+    status, out, _ = run(capsys, "count", "-x", str(idx_file), "-p", str(pat_file))
+    assert status == 0 and out.splitlines() == ["25", "20"]
+    idx_file.write_bytes(corrupt_trie_rows(idx_file.read_bytes(), damage))
+    status, out, err = run(capsys, "count", "-x", str(idx_file), "-p", str(pat_file))
+    assert status == 2 and out == ""
+    assert "error" in err
 
 
 def test_gen_random_rejects_sigma_above_length(tmp_path, capsys):

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import corrupt_trie_rows
 from gfi.errors import InvalidParameterError
 from gfi.index import (
     build_index,
@@ -115,6 +116,15 @@ def test_rejects_truncated_or_padded_file():
         load_index(blob + b"\x00")
 
 
+@pytest.mark.parametrize("damage", ["swapped", "duplicated"])
+def test_rejects_corrupt_trie_section(damage):
+    text = b"bacabacaacbcbc" * 5
+    blob = save_index(build_index(text, 4, with_baseline=True))
+    assert load_index(blob).count(b"a") == text.count(b"a") == 25
+    with pytest.raises(ValueError, match="child edges must strictly increase"):
+        load_index(corrupt_trie_rows(blob, damage))
+
+
 def test_baseline_requires_flag():
     idx = build_index(b"abc", 2)
     with pytest.raises(ValueError):
@@ -136,6 +146,6 @@ def test_save_refuses_fields_beyond_32_bits():
     with pytest.raises(ValueError, match="32 bits"):
         save_index(idx)
     idx = build_index(b"bacabacaacbcbc", 4)
-    idx.trie = ShortPatternTrie(depth=3, parents=[0], edges=[1], counts=[2**32])
+    idx.trie = ShortPatternTrie(parents=[0], edges=[1], counts=[2**32])
     with pytest.raises(ValueError, match="32 bits"):
         save_index(idx)

@@ -14,6 +14,12 @@ def test_counts_running_example():
     assert trie.count(bytes([2, 3])) == 2  # bc
     assert trie.count(bytes([3, 3])) == 0
     assert trie.count(bytes([26, 26])) == 0
+    assert trie.count(bytes([1, 3, 1])) == 2  # aca
+    assert trie.count(bytes([1, 3, 1, 2])) == 0  # acab occurs, but is longer than the depth
+    assert trie.count(b"") == 0
+    assert trie.count(bytes([0])) == 0
+    assert trie.count(bytes([255])) == 0
+    assert trie.count(bytes([1, 255])) == 0
 
 
 def test_depth_zero_trie_is_empty():
@@ -23,11 +29,17 @@ def test_depth_zero_trie_is_empty():
 
 def test_rejects_malformed_node_arrays():
     with pytest.raises(ValueError):
-        ShortPatternTrie(depth=2, parents=[0, 2], edges=[1, 1], counts=[2, 1])
+        ShortPatternTrie(parents=[0, 2], edges=[1, 1], counts=[2, 1])
     with pytest.raises(ValueError):
-        ShortPatternTrie(depth=2, parents=[1], edges=[1], counts=[1])
+        ShortPatternTrie(parents=[1], edges=[1], counts=[1])
     with pytest.raises(ValueError):
-        ShortPatternTrie(depth=2, parents=[0, 1], edges=[1, 1], counts=[2])
+        ShortPatternTrie(parents=[0, 1], edges=[1, 1], counts=[2])
+    with pytest.raises(ValueError, match="order of their parents"):
+        ShortPatternTrie(parents=[0, 1, 0], edges=[1, 1, 2], counts=[2, 1, 1])
+    with pytest.raises(ValueError, match="strictly increase"):
+        ShortPatternTrie(parents=[0, 0], edges=[2, 1], counts=[1, 1])
+    with pytest.raises(ValueError, match="strictly increase"):
+        ShortPatternTrie(parents=[0, 0, 1, 1], edges=[1, 2, 1, 1], counts=[2, 1, 1, 1])
 
 
 def test_counts_match_naive_and_suffix_array():
