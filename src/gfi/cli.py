@@ -54,6 +54,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.samples < 1:
+        raise InvalidParameterError("--samples must be at least 1")
     idx = index_mod.load_index_file(args.index)
     with open(args.text, "rb") as fh:
         raw = fh.read()

@@ -38,17 +38,13 @@ class Grammar:
     rhs_id: dict[bytes, int] = field(init=False, repr=False)
     reversed_rhs: list[bytes] = field(init=False, repr=False)  # sorted, i.e. colex order
     colex_to_lex: memoryview = field(init=False, repr=False)  # lex ids in colex order
-    lex_to_colex: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.rhs_id = {s: i + 1 for i, s in enumerate(self.rhs)}
         rev = [s[::-1] for s in self.rhs]
         order = sorted(range(len(rev)), key=rev.__getitem__)
         self.reversed_rhs = [rev[i] for i in order]
-        colex_to_lex = np.array(order, dtype=np.int64) + 1
-        self.lex_to_colex = np.zeros(len(self.rhs) + 1, dtype=np.int64)
-        self.lex_to_colex[colex_to_lex] = np.arange(1, len(self.rhs) + 1)
-        self.colex_to_lex = memoryview(colex_to_lex)
+        self.colex_to_lex = memoryview(np.array(order, dtype=np.int64) + 1)
 
     @property
     def size(self) -> int:
@@ -70,7 +66,9 @@ class Grammar:
 
     def colex_ranks(self) -> np.ndarray:
         """Colex rank per lex id; entry 0 is the terminator's rank 0."""
-        return self.lex_to_colex.copy()
+        ranks = np.zeros(len(self.rhs) + 1, dtype=np.int64)
+        ranks[np.asarray(self.colex_to_lex)] = np.arange(1, len(self.rhs) + 1)
+        return ranks
 
     def expansion_lengths(self) -> np.ndarray:
         """Rule lengths indexed by lex id (entry 0 is the terminator, length 0)."""

@@ -9,7 +9,10 @@ and the pattern's trailing character run can belong to the following
 text factor.  The planner therefore enumerates disjoint branches
 covering every alignment of the head within its covering chunk and both
 typings of the trailing run; the executor runs one backward search per
-branch and sums the results.
+branch and sums the results.  Both plan shapes, the general one and the
+single-factor one, cut every right end on the chunk grid with one helper
+(``_cut``) and enumerate the final-chunk lengths of a head with another
+(``_first_branches``).
 
 Patterns shorter than the chunk size are answered by the short-pattern
 trie instead.
@@ -18,6 +21,7 @@ trie instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from gfi import lms
 from gfi.errors import InvalidPatternError
@@ -26,8 +30,7 @@ from gfi.lms import chunk_string
 from gfi.rlfm import RLFMIndex
 
 
-@dataclass(frozen=True)
-class LastBranch:
+class LastBranch(NamedTuple):
     """Right end of a search: a prefix-range anchor, then exact symbols.
 
     ``exact_ids`` are in left-to-right text order; the executor steps
@@ -38,8 +41,7 @@ class LastBranch:
     exact_ids: tuple
 
 
-@dataclass(frozen=True)
-class FirstBranch:
+class FirstBranch(NamedTuple):
     """Left end of a search: exact symbols, then an optional suffix query.
 
     A branch with ``suffix_query`` set resolves the pattern's leftmost
@@ -103,44 +105,33 @@ def _ids_of(grammar: Grammar, pieces) -> tuple | None:
     return None if None in ids else ids
 
 
-def _run_pieces(grammar: Grammar, run_char: int, run_len: int):
-    """Anchor string and exact full chunks covering a transferred run.
+def _cut(grammar: Grammar, s: bytes) -> LastBranch | None:
+    """Cut ``s`` into lam-chunks from its first character.
 
-    The run is a prefix of the following text factor, so its full chunks
-    are exact symbols and its remainder seeds the search as a prefix
-    query.  A remainder-free run anchors on its own last full chunk.
+    Every piece but the last must be a rule; the last seeds the search as
+    a prefix query.  None when a piece is not a rule.
     """
-    lam = grammar.lam
-    rem = run_len % lam
-    full = run_len // lam
-    if rem == 0:
-        rem = lam
-        full -= 1
-    anchor = bytes([run_char]) * rem
-    exact = _ids_of(grammar, [bytes([run_char]) * lam] * full)
-    return anchor, exact
+    pieces = chunk_string(s, grammar.lam)
+    exact = _ids_of(grammar, pieces[:-1])
+    return None if exact is None else LastBranch(pieces[-1], exact)
 
 
-def _first_branches(grammar: Grammar, head: bytes) -> list[FirstBranch]:
-    """Branches over the final-chunk length of the factor covering ``head``.
+def _first_branches(grammar: Grammar, head: bytes, longest: int) -> list[FirstBranch]:
+    """Branches over final-chunk lengths 1..longest of the factor covering ``head``.
 
     ``head`` ends at a factor boundary.  A final chunk of length f shorter
     than the head pins its last f characters exactly, full chunks continue
     leftward, and whatever is left of the head resolves through a suffix
-    query.  When the head fits inside one chunk, a single suffix query on
-    the whole head covers all remaining final-chunk lengths.
+    query.
     """
     lam = grammar.lam
     out: list[FirstBranch] = []
-    for f in range(1, min(lam, len(head) - 1) + 1):
+    for f in range(1, longest + 1):
         rest = head[:-f]
         g = len(rest) % lam
         exact = _ids_of(grammar, chunk_string(rest[g:], lam) + [head[-f:]])
-        if exact is None:
-            continue
-        out.append(FirstBranch(exact_ids=exact, suffix_query=rest[:g] if g else None))
-    if len(head) <= lam:
-        out.append(FirstBranch(exact_ids=(), suffix_query=head))
+        if exact is not None:
+            out.append(FirstBranch(exact, rest[:g] or None))
     return out
 
 
@@ -156,25 +147,26 @@ def _plan_composite(factors: list[bytes], grammar: Grammar) -> BranchPlan:
     plan.core_ids = core
 
     last = factors[-1]
-    pieces = chunk_string(last, lam)
-    exact = _ids_of(grammar, pieces[:-1])
-    if exact is not None:
-        plan.last_branches.append(LastBranch(anchor=pieces[-1], exact_ids=exact))
+    plain = _cut(grammar, last)
+    if plain is not None:
+        plan.last_branches.append(plain)
 
-    run_len = trailing_run(last)
-    stem = last[:-run_len]
+    stem = last[: -trailing_run(last)]
     if len(stem) % lam != 0:
         # A stem ending off the chunk grid makes the transferred-run search
         # distinguishable from the plain one; on the grid the two collapse
         # and the plain branch already counts both typings.
-        anchor, run_exact = _run_pieces(grammar, last[-1], run_len)
+        run = _cut(grammar, last[len(stem) :])
         stem_exact = _ids_of(grammar, chunk_string(stem, lam))
-        if run_exact is not None and stem_exact is not None:
-            plan.last_branches.append(
-                LastBranch(anchor=anchor, exact_ids=stem_exact + run_exact)
-            )
+        if run is not None and stem_exact is not None:
+            plan.last_branches.append(LastBranch(run.anchor, stem_exact + run.exact_ids))
 
-    plan.first_branches = _first_branches(grammar, factors[0])
+    head = factors[0]
+    plan.first_branches = _first_branches(grammar, head, min(lam, len(head) - 1))
+    if len(head) <= lam:
+        # The head fits inside one chunk: one suffix query on the whole head
+        # covers every remaining final-chunk length.
+        plan.first_branches.append(FirstBranch((), head))
     return plan
 
 
@@ -182,47 +174,28 @@ def _plan_single(pattern: bytes, grammar: Grammar) -> BranchPlan:
     """Plan for single-factor patterns of at least chunk length.
 
     Without interior factors there is no core; instead the pattern's
-    start offset inside its covering chunk is enumerated directly (head
-    length h), and the transferred-run variants are added for final-chunk
-    lengths of the run-free stem that the offset enumeration cannot
-    express.  Offsets whose grid coincides with a run-transfer split are
-    emitted only once.
+    start offset inside its covering chunk is enumerated directly: the
+    pattern minus its first h characters is cut on the chunk grid and
+    those h characters become the suffix query.  The transferred-run
+    variants come from the head enumeration over the run-free stem, for
+    the final-chunk lengths that the offsets cannot express: a full final
+    chunk would put the run on an offset's grid and repeat its search.
     """
     lam = grammar.lam
     plan = BranchPlan(paired=True)
 
-    for h in range(1, lam + 1):
-        rest = pattern[h:]
-        suffix_q: bytes | None = pattern[:h] if h < lam else None
-        lead = [pattern[:lam]] if h == lam else []
-        if rest:
-            s = len(rest) % lam or lam
-            anchor = rest[len(rest) - s :]
-            exact = _ids_of(grammar, lead + chunk_string(rest[: len(rest) - s], lam))
-        else:
-            anchor = pattern
-            exact = ()
-        if exact is None:
-            continue
-        plan.last_branches.append(LastBranch(anchor=anchor, exact_ids=exact))
-        plan.first_branches.append(FirstBranch(exact_ids=(), suffix_query=suffix_q))
+    for h in range(lam):
+        lb = _cut(grammar, pattern[h:])
+        if lb is not None:
+            plan.last_branches.append(lb)
+            plan.first_branches.append(FirstBranch((), pattern[:h] or None))
 
-    run_len = trailing_run(pattern)
-    stem = pattern[:-run_len]
-    run_anchor, run_exact = _run_pieces(grammar, pattern[-1], run_len)
-    if run_exact is not None:
-        for f in range(1, min(lam - 1, len(stem) - 1) + 1):
-            rest = stem[:-f]
-            g = len(rest) % lam
-            exact = _ids_of(grammar, chunk_string(rest[g:], lam) + [stem[-f:]])
-            if exact is None:
-                continue
-            plan.last_branches.append(
-                LastBranch(anchor=run_anchor, exact_ids=exact + run_exact)
-            )
-            plan.first_branches.append(
-                FirstBranch(exact_ids=(), suffix_query=rest[:g] if g else None)
-            )
+    stem = pattern[: -trailing_run(pattern)]
+    run = _cut(grammar, pattern[len(stem) :])
+    if run is not None:
+        for fb in _first_branches(grammar, stem, min(lam - 1, len(stem) - 1)):
+            plan.last_branches.append(LastBranch(run.anchor, fb.exact_ids + run.exact_ids))
+            plan.first_branches.append(FirstBranch((), fb.suffix_query))
     return plan
 
 

@@ -7,8 +7,8 @@ count) with ids assigned level by level in lexicographic order, which
 makes the serialized form deterministic.  In that order, the level-order
 layout of Jacobson's succinct trees, the children of a node are one
 contiguous run of ids with their edge codes ascending, so one array of
-child-slice bounds, built by a single vectorised search over the parents,
-is all a lookup needs: each pattern code is one binary search over the
+child-slice bounds, the running sum of a count of the parents, is all a
+lookup needs: each pattern code is one binary search over the
 current node's child edges.
 """
 
@@ -37,7 +37,11 @@ class ShortPatternTrie:
             raise ValueError("a trie node's child edges must strictly increase")
         # Node p's children are the ids kids[p]+1 .. kids[p+1], and their
         # edges are edges[kids[p]:kids[p+1]]; node ids start at 1 (0 is the root).
-        self.kids = memoryview(np.searchsorted(parents, np.arange(n + 2)))
+        # So kids is the running sum of the child counts; the checks above
+        # keep every parent in 0..n-1.
+        kids = np.zeros(n + 2, dtype=np.int64)
+        np.cumsum(np.bincount(parents, minlength=n + 1), out=kids[1:])
+        self.kids = memoryview(kids)
         self.parents = memoryview(parents)
         self.edges = memoryview(edges)
         self.counts = memoryview(counts)

@@ -116,6 +116,20 @@ def test_bench_deterministic_patterns(tmp_path, capsys):
     assert calls1 == calls2
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_bench_rejects_samples_below_one(tmp_path, capsys, monkeypatch, samples):
+    def no_loading(*args):
+        raise AssertionError("loaded the index before checking --samples")
+
+    monkeypatch.setattr("gfi.index.load_index_file", no_loading)
+    corpus = tmp_path / "c.txt"
+    corpus.write_bytes(b"bacabacaacbcbc")
+    status, out, err = run(capsys, "bench", "-x", str(tmp_path / "c.gfi"), "--text", str(corpus),
+                           "--lengths", "2..3", "--samples", samples)
+    assert status == 2 and out == ""
+    assert err.startswith("error:") and "--samples" in err
+
+
 def test_missing_files_are_errors(tmp_path, capsys):
     status, _, err = run(capsys, "stats", "-x", str(tmp_path / "nope.gfi"))
     assert status == 2

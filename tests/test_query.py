@@ -78,6 +78,23 @@ def test_plan_suppresses_indistinguishable_transfer_branch():
     assert plan.last_branches[0].exact_ids == (1,)
 
 
+def test_plan_structure_single_factor_transfer():
+    # abcc is one factor: offsets h=0 and h=1, plus one transferred-run
+    # search; the whole-stem search would repeat offset h=0 and is not emitted
+    a, b, c = (bytes([k]) for k in (1, 2, 3))
+    g = gm.Grammar(lam=2, sigma=3, rhs=[a, a + b, b, b + c, c, c + c])
+    plan = plan_branches(a + b + c + c, g)
+    assert plan.paired and not plan.dead
+    assert len(plan.last_branches) == len(plan.first_branches) == 3
+    assert all(fb.exact_ids == () for fb in plan.first_branches)
+    # (anchor, backward-step rules in execution order, suffix query)
+    searches = {
+        (lb.anchor, tuple(g.rhs[i - 1] for i in reversed(lb.exact_ids)), fb.suffix_query)
+        for lb, fb in zip(plan.last_branches, plan.first_branches)
+    }
+    assert searches == {(c + c, (a + b,), None), (c, (b + c,), a), (c + c, (b,), a)}
+
+
 def test_plan_dead_when_core_chunk_missing():
     idx = build_index(b"bacabacaacbcbc", 4)
     # the pattern's interior factor abc never occurs as a rule
