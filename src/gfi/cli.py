@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 
@@ -53,15 +54,25 @@ def _cmd_count(args) -> int:
     return status
 
 
+def _exponent_range(text: str) -> tuple[int, int]:
+    """The A..B of --lengths as two ints with 0 <= A <= B."""
+    match = re.fullmatch(r"(\d+)\.\.(\d+)", text, re.ASCII)
+    if match is None or int(match[1]) > int(match[2]):
+        raise InvalidParameterError(
+            "--lengths must be A..B with integers 0 <= A <= B, not %r" % text
+        )
+    return int(match[1]), int(match[2])
+
+
 def _cmd_bench(args) -> int:
     if args.samples < 1:
         raise InvalidParameterError("--samples must be at least 1")
+    lo, hi = _exponent_range(args.lengths)
     idx = index_mod.load_index_file(args.index)
     with open(args.text, "rb") as fh:
         raw = fh.read()
     if raw.endswith(b"\x00"):
         raw = raw[:-1]
-    lo, hi = (int(x) for x in args.lengths.split(".."))
     print("length,mean_time_per_char,total_rank_calls,rank_calls_per_char")
     for exp in range(lo, hi + 1):
         length = 1 << exp

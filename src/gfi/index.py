@@ -70,7 +70,7 @@ def build_index(data: bytes, lam: int, with_baseline: bool = False) -> TextIndex
     codes, alphabet = densify(bytes(data))
     gram, level1 = grammar_mod.build(codes, lam)
     rlfm1 = RLFMIndex.from_bwt(bwt_mod.bwt_of(level1))
-    text = np.frombuffer(codes, dtype=np.uint8)  # the suffix sort and the trie widen it
+    text = np.frombuffer(codes, dtype=np.uint8)  # sorted as is; the trie widens it
     trie = ShortPatternTrie.build(text, lam)
     rlfm0 = None
     if with_baseline:

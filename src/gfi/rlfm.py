@@ -87,7 +87,7 @@ class RLFMIndex:
 
     @classmethod
     def from_bwt(cls, bwt) -> "RLFMIndex":
-        bwt = np.asarray(bwt, dtype=np.int64)
+        bwt = np.asarray(bwt)
         change = np.flatnonzero(bwt[1:] != bwt[:-1])
         starts = np.concatenate([[0], change + 1])
         ends = np.concatenate([change + 1, [len(bwt)]])

@@ -130,6 +130,15 @@ def test_bench_rejects_samples_below_one(tmp_path, capsys, monkeypatch, samples)
     assert err.startswith("error:") and "--samples" in err
 
 
+@pytest.mark.parametrize("lengths", ["5", "5..a", "7..3", "..4"])
+def test_bench_rejects_malformed_lengths(tmp_path, capsys, lengths):
+    # The index path does not exist: the range must be rejected before any file is read.
+    status, out, err = run(capsys, "bench", "-x", str(tmp_path / "absent.gfi"),
+                           "--text", str(tmp_path / "absent.txt"), "--lengths", lengths)
+    assert status == 2 and out == ""
+    assert err.startswith("error:") and "--lengths" in err
+
+
 def test_missing_files_are_errors(tmp_path, capsys):
     status, _, err = run(capsys, "stats", "-x", str(tmp_path / "nope.gfi"))
     assert status == 2
