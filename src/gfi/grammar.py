@@ -7,8 +7,9 @@ sides (id 0 is reserved for the terminator of the rewritten text).  The
 rules that start with a string q form one interval of lex ids, found by
 binary search over the sorted right-hand sides; the rules that end with
 q form one interval of colex ranks, found the same way over the sorted
-reversed right-hand sides and mapped back to lex ids through the colex
-permutation.
+reversed right-hand sides.  Suffix sets stay colex-rank intervals: the
+suffix count tests each BWT run head's colex rank against the interval,
+or walks the interval's slots of the colex permutation.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from gfi.errors import InvalidParameterError
 from gfi import lms
 
 
-def _starting_with(strings: list[bytes], q: bytes) -> tuple[int, int]:
-    """Half-open index interval of the sorted strings that start with q."""
+def _starting_with(strings: list[bytes], q: bytes, lam: int) -> tuple[int, int]:
+    """Half-open index interval of the sorted strings (at most lam codes) that start with q."""
     lo = bisect_left(strings, q)
-    return lo, bisect_right(strings, q, lo, key=lambda s: s[: len(q)])
+    # each string starting with q sorts at or before q padded to lam with code 255
+    return lo, bisect_right(strings, q + b"\xff" * (lam - len(q)), lo)
 
 
 @dataclass
@@ -38,13 +40,18 @@ class Grammar:
     rhs_id: dict[bytes, int] = field(init=False, repr=False)
     reversed_rhs: list[bytes] = field(init=False, repr=False)  # sorted, i.e. colex order
     colex_to_lex: memoryview = field(init=False, repr=False)  # lex ids in colex order
+    colex_rank: memoryview = field(init=False, repr=False)  # 1-based colex rank per lex id
 
     def __post_init__(self):
         self.rhs_id = {s: i + 1 for i, s in enumerate(self.rhs)}
         rev = [s[::-1] for s in self.rhs]
         order = sorted(range(len(rev)), key=rev.__getitem__)
         self.reversed_rhs = [rev[i] for i in order]
-        self.colex_to_lex = memoryview(np.array(order, dtype=np.int64) + 1)
+        colex_to_lex = np.array(order, dtype=np.int64) + 1
+        colex_rank = np.zeros(len(order) + 1, dtype=np.int64)  # the terminator's is 0
+        colex_rank[colex_to_lex] = np.arange(1, len(order) + 1)
+        self.colex_to_lex = memoryview(colex_to_lex)
+        self.colex_rank = memoryview(colex_rank)
 
     @property
     def size(self) -> int:
@@ -56,19 +63,17 @@ class Grammar:
 
         Empty results come back with lo > hi.
         """
-        lo, hi = _starting_with(self.rhs, q)
+        lo, hi = _starting_with(self.rhs, q, self.lam)
         return (lo + 1, hi)
 
-    def suffix_symbols(self, q: bytes) -> list[int]:
-        """Lex ids of all rules whose rhs ends with q, in colex order."""
-        lo, hi = _starting_with(self.reversed_rhs, q[::-1])
-        return self.colex_to_lex[lo:hi].tolist()
+    def suffix_symbols(self, q: bytes) -> range:
+        """Colex ranks of all rules whose rhs ends with q, as one interval."""
+        lo, hi = _starting_with(self.reversed_rhs, q[::-1], self.lam)
+        return range(lo + 1, hi + 1)
 
     def colex_ranks(self) -> np.ndarray:
         """Colex rank per lex id; entry 0 is the terminator's rank 0."""
-        ranks = np.zeros(len(self.rhs) + 1, dtype=np.int64)
-        ranks[np.asarray(self.colex_to_lex)] = np.arange(1, len(self.rhs) + 1)
-        return ranks
+        return np.asarray(self.colex_rank)
 
     def expansion_lengths(self) -> np.ndarray:
         """Rule lengths indexed by lex id (entry 0 is the terminator, length 0)."""

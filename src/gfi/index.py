@@ -3,9 +3,9 @@
 The serialized file stores only primary data: the alphabet map, the rule
 strings in lexicographic order, the run-length compressed BWT of the
 rewritten text, the short-pattern trie nodes, and optionally the baseline
-BWT runs.  Rank structures, the reversed-rule list with its colex
-permutation, and the trie's child-slice bounds are rebuilt on load, so
-serialize -> load -> serialize is byte-identical.
+BWT runs.  Rank structures, the reversed rules with their colex order and
+ranks, and the trie's child slices are rebuilt on load, so serialize ->
+load -> serialize is byte-identical.
 
 All multi-byte integers are little-endian; counts are unsigned 32-bit,
 and saving refuses any value that does not fit.
@@ -80,13 +80,12 @@ def build_index(data: bytes, lam: int, with_baseline: bool = False) -> TextIndex
     )
 
 
-def _write_rows(out: io.BytesIO, *columns):
+def _rows(*columns) -> bytes:
     """The row count, then the columns interleaved row by row, as u32 fields."""
     rows = np.column_stack(columns)
     if rows.size and (rows.min() < 0 or rows.max() >= 2**32):
         raise ValueError("an index field does not fit in 32 bits")
-    out.write(struct.pack("<I", len(rows)))
-    out.write(rows.astype("<u4").tobytes())
+    return struct.pack("<I", len(rows)) + rows.astype("<u4").tobytes()
 
 
 def _take(buf: io.BytesIO, size: int) -> bytes:
@@ -107,28 +106,24 @@ def _read_runs(buf: io.BytesIO) -> RLFMIndex:
     return RLFMIndex(run_heads=pairs[0::2], run_lengths=pairs[1::2])
 
 
-def save_index(index: TextIndex) -> bytes:
-    out = io.BytesIO()
-    out.write(MAGIC)
-    out.write(struct.pack("<BB", VERSION, index.lam))
-
-    out.write(struct.pack("<I", index.alphabet.size))
-    out.write(index.alphabet.code_to_byte)
-
-    out.write(struct.pack("<I", index.grammar.size))
-    for s in index.grammar.rhs:
-        out.write(struct.pack("<I", len(s)))
-        out.write(s)
-
-    _write_rows(out, index.rlfm1.run_heads, index.rlfm1.run_lengths)
-    _write_rows(out, index.trie.parents, index.trie.edges, index.trie.counts)
-
+def _sections(index: TextIndex) -> list[tuple[str, bytes]]:
+    """The file's sections in file order, each as (name, serialized bytes)."""
+    rules = b"".join(struct.pack("<I", len(s)) + s for s in index.grammar.rhs)
+    baseline = b"\x00"
     if index.rlfm0 is not None:
-        out.write(struct.pack("<B", 1))
-        _write_rows(out, index.rlfm0.run_heads, index.rlfm0.run_lengths)
-    else:
-        out.write(struct.pack("<B", 0))
-    return out.getvalue()
+        baseline = b"\x01" + _rows(index.rlfm0.run_heads, index.rlfm0.run_lengths)
+    return [
+        ("header", MAGIC + struct.pack("<BB", VERSION, index.lam)),
+        ("alphabet", struct.pack("<I", index.alphabet.size) + index.alphabet.code_to_byte),
+        ("grammar", struct.pack("<I", index.grammar.size) + rules),
+        ("level1_bwt", _rows(index.rlfm1.run_heads, index.rlfm1.run_lengths)),
+        ("short_trie", _rows(index.trie.parents, index.trie.edges, index.trie.counts)),
+        ("baseline", baseline),
+    ]
+
+
+def save_index(index: TextIndex) -> bytes:
+    return b"".join(data for _, data in _sections(index))
 
 
 def load_index(data: bytes) -> TextIndex:
@@ -154,6 +149,8 @@ def load_index(data: bytes) -> TextIndex:
     gram = grammar_mod.Grammar(lam=lam, sigma=sigma, rhs=rhs)
 
     rlfm1 = _read_runs(buf)
+    if rlfm1.alphabet_size != rule_count + 1:  # every rule occurs in the rewritten text
+        raise ValueError("level-1 BWT symbols do not match the %d rules" % rule_count)
 
     (node_count,) = _unpack(buf, "<I")
     rows = np.frombuffer(_take(buf, node_count * 12), dtype="<u4").astype(np.int64)
@@ -187,13 +184,6 @@ def load_index_file(path: str) -> TextIndex:
 
 def section_sizes(index: TextIndex) -> dict[str, int]:
     """Serialized byte size per file section."""
-    sizes = {
-        "header": 6,
-        "alphabet": 4 + index.alphabet.size,
-        "grammar": 4 + sum(4 + len(s) for s in index.grammar.rhs),
-        "level1_bwt": 4 + 8 * index.rlfm1.run_count,
-        "short_trie": 4 + 12 * index.trie.node_count,
-        "baseline": 1 + (4 + 8 * index.rlfm0.run_count if index.rlfm0 else 0),
-    }
+    sizes = {name: len(data) for name, data in _sections(index)}
     sizes["total"] = sum(sizes.values())
     return sizes

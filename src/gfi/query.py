@@ -229,7 +229,8 @@ def _finish(fm: RLFMIndex, grammar: Grammar, lo: int, hi: int, fb: FirstBranch, 
         return 0
     if fb.suffix_query is None:
         return hi - lo + 1
-    hits = fm.count_symbols_in_range(lo, hi, grammar.suffix_symbols(fb.suffix_query))
+    ranks = grammar.suffix_symbols(fb.suffix_query)
+    hits = fm.count_symbols_in_range(lo, hi, ranks, grammar.colex_rank, grammar.colex_to_lex)
     if trace:
         trace.log("suffix_count", fb.suffix_query, (lo, hi))
     return hits

@@ -20,20 +20,21 @@ resettable counter so query cost can be measured in index operations
 rather than wall-clock time.
 
 Counting a set of symbols within a row range (the suffix count of a
-grammar query) picks, per call, the cheaper of two exact ways.  Two
-ranks per symbol cost ``2 * len(symbols)``; scanning the runs the range
-spans, from the run covering row lo-1 to the run covering row hi, and
-summing the overlap of each run whose head is one of the symbols costs
-``span`` run visits.  The counter charges whichever way ran by that
-cost, one rank call per scanned run, so it stays comparable with the
-ranks of backward steps.
+grammar query) takes the set as one interval of ranks under a
+permutation of the symbols (for the grammar, colex ranks) and picks, per
+call, the cheaper of two exact ways.  Two ranks per symbol cost
+``2 * len(ranks)``; scanning the runs the range spans, from the run
+covering row lo-1 to the run covering row hi, and summing the overlap of
+each run whose head's rank lies in the interval costs ``span`` run
+visits.  The counter charges whichever way ran by that cost, one rank
+call per scanned run, so it stays comparable with the ranks of backward
+steps.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -155,13 +156,13 @@ class RLFMIndex:
             new_hi = mass[a]
         return new_lo + 1, new_hi
 
-    def count_symbols_in_range(self, lo: int, hi: int, symbols) -> int:
-        """Total occurrences of the given symbols within the row range.
+    def count_symbols_in_range(self, lo: int, hi: int, ranks: range, rank_of, by_rank) -> int:
+        """Total occurrences within the row range of the symbols ranked in ``ranks``.
 
-        A symbol given twice counts twice; ids outside the alphabet count
-        0.  Scans the spanned runs or does two ranks per symbol (inlined
-        as in backward_step), whichever the module docstring's rule finds
-        cheaper.
+        ``rank_of[c]`` is symbol c's 1-based rank and ``by_rank[r - 1]`` the
+        symbol of rank r, each below ``alphabet_size``.  Scans the spanned
+        runs or does two ranks per symbol (inlined as in backward_step),
+        whichever the module docstring's rule finds cheaper.
         """
         if lo > hi:
             return 0
@@ -173,29 +174,28 @@ class RLFMIndex:
         k_lo = bisect_right(starts, lo) - 1  # -1 when lo is 0: no run matches it
         k_hi = bisect_right(starts, hi) - 1
         span = k_hi - k_lo + 1
-        if span <= 2 * len(symbols):
+        first_rank, end_rank = ranks.start, ranks.stop
+        if span <= 2 * len(ranks):
             self.stats.rank_calls += span
             heads = self.heads
-            rows = {}  # head -> its rows within the range
+            total = 0
             begin = max(lo, 0)
             for k in range(max(k_lo, 0), k_hi + 1):
                 end = starts[k + 1] - 1 if k < k_hi else hi
-                c = heads[k]
-                rows[c] = rows.get(c, 0) + end - begin
+                if first_rank <= rank_of[heads[k]] < end_rank:
+                    total += end - begin
                 begin = end
-            return sum(map(rows.get, symbols, repeat(0)))
-        self.stats.rank_calls += 2 * len(symbols)
+            return total
+        self.stats.rank_calls += 2 * len(ranks)
         cstarts, mass, first = self.cstarts, self.mass, self.first
-        size = self.alphabet_size
         total = 0
-        for c in symbols:
-            if 0 <= c < size:
-                a, b = first[c], first[c + 1]
-                j = bisect_right(cstarts, lo, a, b)
-                below = min(mass[j - 1] + lo - cstarts[j - 1] + 1, mass[j]) if j > a else mass[a]
-                j = bisect_right(cstarts, hi, j, b)
-                upto = min(mass[j - 1] + hi - cstarts[j - 1] + 1, mass[j]) if j > a else mass[a]
-                total += upto - below
+        for c in by_rank[first_rank - 1 : end_rank - 1]:
+            a, b = first[c], first[c + 1]
+            j = bisect_right(cstarts, lo, a, b)
+            below = min(mass[j - 1] + lo - cstarts[j - 1] + 1, mass[j]) if j > a else mass[a]
+            j = bisect_right(cstarts, hi, j, b)
+            upto = min(mass[j - 1] + hi - cstarts[j - 1] + 1, mass[j]) if j > a else mass[a]
+            total += upto - below
         return total
 
     def count_plain(self, codes) -> int:

@@ -87,11 +87,17 @@ def test_prefix_range_running_example():
     assert lo > hi
 
 
+def suffix_ids(g, q):
+    """Lex ids of the rules ending with q, mapped from suffix_symbols' colex ranks."""
+    return sorted(g.colex_to_lex[r - 1] for r in g.suffix_symbols(q))
+
+
 def test_suffix_symbols_running_example():
     g, _ = gm.build(to_codes(b"bacabacaacbcbc"), 4)
-    assert sorted(g.suffix_symbols(bytes([3]))) == [1, 3, 5]  # rules ending in c
-    assert sorted(g.suffix_symbols(bytes([2]))) == [2, 4]  # ab, b
-    assert g.suffix_symbols(bytes([1] * 4)) == []
+    assert g.suffix_symbols(bytes([3])) == range(3, 6)  # colex: b ab ac | aac bc
+    assert suffix_ids(g, bytes([3])) == [1, 3, 5]  # rules ending in c
+    assert suffix_ids(g, bytes([2])) == [2, 4]  # ab, b
+    assert len(g.suffix_symbols(bytes([1] * 4))) == 0
 
 
 def test_colex_ranks_running_example():
@@ -117,26 +123,33 @@ def test_colex_matches_reversal_sort():
         assert g.colex_to_lex.tolist() == [i + 1 for i in by_reversal]
 
 
-def test_dictionary_queries_match_brute_force_exhaustively():
-    rng = random.Random(10)
+def _dictionaries(rng):
+    """(grammar, codes) pairs: random small texts, then rules over the byte extremes."""
     for _ in range(60):
         sigma = rng.choice([2, 3])
-        lam = rng.choice([1, 2, 3])
         n = rng.randint(2, 80)
         text = bytes(rng.randint(1, sigma) for _ in range(n))
-        g, _ = gm.build(text, lam)
+        yield gm.build(text, rng.choice([1, 2, 3]))[0], range(1, sigma + 1)
+    # Rules equal to a query padded with 255s sit exactly on the prefix
+    # search's upper key; 1 and 254 sort below them.
+    rules = [b"\x01", b"\x01\xfe", b"\x01\xff", b"\x01\xff\xff", b"\xfe", b"\xfe\xff\x01",
+             b"\xfe\xff\xff", b"\xff", b"\xff\x01", b"\xff\xfe\xff", b"\xff\xff",
+             b"\xff\xff\x01", b"\xff\xff\xff"]
+    yield gm.Grammar(lam=3, sigma=255, rhs=sorted(rules)), (1, 254, 255)
+
+
+def test_dictionary_queries_match_brute_force_exhaustively():
+    for g, codes in _dictionaries(random.Random(10)):
         queries = [b""]
-        for k in range(1, lam + 1):
-            queries.extend(
-                bytes(p) for p in itertools.product(range(1, sigma + 1), repeat=k)
-            )
+        for k in range(1, g.lam + 1):
+            queries.extend(bytes(p) for p in itertools.product(codes, repeat=k))
         for q in queries:
             lo, hi = g.prefix_range(q)
             expect = [i + 1 for i, s in enumerate(g.rhs) if s.startswith(q)]
             got = list(range(lo, hi + 1))
-            assert got == expect, (text, lam, q)
+            assert got == expect, (g.rhs, q)
             expect_sfx = sorted(i + 1 for i, s in enumerate(g.rhs) if s.endswith(q))
-            assert sorted(g.suffix_symbols(q)) == expect_sfx
+            assert suffix_ids(g, q) == expect_sfx, (g.rhs, q)
 
 
 def test_popcount_invariants():

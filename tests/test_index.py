@@ -5,6 +5,7 @@ import pytest
 
 from conftest import corrupt_trie_rows
 from gfi.errors import InvalidParameterError
+from gfi.grammar import Grammar
 from gfi.index import (
     build_index,
     load_index,
@@ -138,6 +139,16 @@ def test_rejects_corrupt_alphabet(alphabet):
     blob[10:13] = alphabet
     with pytest.raises(ValueError, match="alphabet"):
         load_index(bytes(blob))
+
+
+@pytest.mark.parametrize("unused", [True, False], ids=["unused_rule", "missing_rule"])
+def test_rejects_rules_not_matching_level1_symbols(unused):
+    """Suffix counts index per-symbol arrays by rule id, so both must agree."""
+    idx = build_index(b"bacabacaacbcbc", 4)
+    rhs = idx.grammar.rhs + [bytes([3] * 4)] if unused else idx.grammar.rhs[:-1]
+    idx.grammar = Grammar(lam=4, sigma=3, rhs=rhs)
+    with pytest.raises(ValueError, match="rules"):
+        load_index(save_index(idx))
 
 
 def test_save_refuses_fields_beyond_32_bits():

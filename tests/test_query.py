@@ -115,7 +115,8 @@ def chain_constraints(plan, grammar):
     """Expand a plan into explicit slot-constraint chains.
 
     Each chain is (suffix_query, slots) where slots are sets of allowed
-    symbols left to right; the final slot comes from the anchor.
+    symbols left to right; the final slot comes from the anchor, and the
+    suffix query's colex ranks are mapped back to lex ids.
     """
     chains = []
     if plan.dead:
@@ -138,7 +139,8 @@ def chain_constraints(plan, grammar):
         ]
         slots.append(anchor_set(lb.anchor))
         if fb.suffix_query is not None:
-            slots.insert(0, set(grammar.suffix_symbols(fb.suffix_query)))
+            ranks = grammar.suffix_symbols(fb.suffix_query)
+            slots.insert(0, {grammar.colex_to_lex[r - 1] for r in ranks})
         chains.append((fb.suffix_query, slots))
     return chains
 

@@ -42,12 +42,26 @@ def test_backward_step_examples():
     assert lo > hi
 
 
+def random_ranking(rng, size):
+    """A random 1-based ranking of the symbols 0..size-1, as (rank_of, by_rank)."""
+    by_rank = list(range(size))
+    rng.shuffle(by_rank)
+    rank_of = [0] * size
+    for r, c in enumerate(by_rank, 1):
+        rank_of[c] = r
+    return rank_of, by_rank
+
+
 def test_count_symbols_in_range():
     fm = RLFMIndex.from_bwt(LEVEL1_BWT)
-    assert fm.count_symbols_in_range(3, 3, [1, 3, 5]) == 1
+    ranking = random_ranking(random.Random(17), fm.alphabet_size)
+    r = ranking[0][3]
+    assert fm.count_symbols_in_range(3, 3, range(r, r + 1), *ranking) == 1  # row 3 holds a 3
     full = (1, fm.total_length)
-    assert fm.count_symbols_in_range(*full, range(fm.alphabet_size)) == fm.total_length
-    assert fm.count_symbols_in_range(*full, []) == 0
+    assert fm.count_symbols_in_range(*full, range(r, r + 1), *ranking) == 2
+    every = range(1, fm.alphabet_size + 1)
+    assert fm.count_symbols_in_range(*full, every, *ranking) == fm.total_length
+    assert fm.count_symbols_in_range(*full, range(1, 1), *ranking) == 0
 
 
 def test_initial_range_level0():
@@ -131,19 +145,28 @@ def test_count_symbols_in_range_matches_naive():
     for _ in range(200):
         heads, lengths = random_runs(rng)
         fm = RLFMIndex(heads, lengths)
+        ranking = random_ranking(rng, fm.alphabet_size)
         bwt = [h for h, length in zip(heads, lengths) for _ in range(length)]
         n = len(bwt)
         for _ in range(30):
             lo = rng.randint(-1, n + 2)
             hi = rng.randint(lo - 2, n + 2)  # lo > hi is an empty range
-            symbols = [rng.randint(-2, fm.alphabet_size + 1) for _ in range(rng.randint(0, 8))]
-            symbols += rng.sample(symbols, len(symbols) // 2)  # repeats count again
+            a = rng.randint(1, fm.alphabet_size + 1)
+            ranks = range(a, rng.randint(a, fm.alphabet_size + 1))  # may be empty
+            symbols = ranking[1][a - 1 : ranks.stop - 1]
             rows = bwt[max(lo, 1) - 1 : max(hi, 0)]
             calls = fm.stats.rank_calls
-            got = fm.count_symbols_in_range(lo, hi, symbols)
+            got = fm.count_symbols_in_range(lo, hi, ranks, *ranking)
             assert got == sum(rows.count(c) for c in symbols), (heads, lengths, lo, hi, symbols)
-            expect_calls = 0 if lo > hi else min(spanned_runs(lengths, lo, hi), 2 * len(symbols))
+            expect_calls = 0 if lo > hi else min(spanned_runs(lengths, lo, hi), 2 * len(ranks))
             assert fm.stats.rank_calls == calls + expect_calls
+
+
+def interval_around(rng, rank_of, c, width):
+    """A random interval of ``width`` ranks that holds symbol c's rank."""
+    r = rank_of[c]
+    a = rng.randint(max(1, r - width + 1), min(r, len(rank_of) - width + 1))
+    return range(a, a + width)
 
 
 def test_count_symbols_in_range_scans_or_bisects():
@@ -153,29 +176,31 @@ def test_count_symbols_in_range_scans_or_bisects():
     for _ in range(300):
         heads, lengths = random_runs(rng)
         fm = RLFMIndex(heads, lengths)
+        rank_of, by_rank = random_ranking(rng, fm.alphabet_size)
         bwt = [h for h, length in zip(heads, lengths) for _ in range(length)]
         n = len(bwt)
         for _ in range(20):
-            if rng.random() < 0.5:
+            if rng.random() < 0.5 and fm.alphabet_size >= 3:
                 lo = rng.randint(1, n)  # lo = 1 starts before the first run
                 hi = min(n, lo + rng.randint(0, 4))
-                symbols = [rng.randint(-1, fm.alphabet_size) for _ in range(rng.randint(3, 9))]
-                symbols += [rng.choice(heads), rng.choice(heads)]
+                width = rng.randint(3, fm.alphabet_size)
                 scan = True
             elif len(heads) >= 7:
                 lo = rng.randint(1, lengths[0] + 1)
                 hi = n - rng.randint(0, lengths[-1])
-                symbols = [rng.choice(heads) for _ in range(rng.randint(1, 2))]
+                width = rng.randint(1, 2)
                 scan = False
             else:
                 continue
+            ranks = interval_around(rng, rank_of, rng.choice(heads), width)
+            symbols = by_rank[ranks.start - 1 : ranks.stop - 1]
             span = spanned_runs(lengths, lo, hi)
-            assert (span <= 2 * len(symbols)) == scan
+            assert (span <= 2 * len(ranks)) == scan
             calls = fm.stats.rank_calls
-            got = fm.count_symbols_in_range(lo, hi, symbols)
+            got = fm.count_symbols_in_range(lo, hi, ranks, rank_of, by_rank)
             rows = bwt[lo - 1 : hi]
             assert got == sum(rows.count(c) for c in symbols), (heads, lengths, lo, hi, symbols)
-            assert fm.stats.rank_calls == calls + (span if scan else 2 * len(symbols))
+            assert fm.stats.rank_calls == calls + (span if scan else 2 * len(ranks))
             scans += scan
             bisects += not scan
     assert scans > 2000 and bisects > 1500
@@ -259,6 +284,7 @@ def test_grouped_rank_at_run_boundaries():
     for s in boundary_texts(rng):
         bwt = bwt_of(np.array(s)).tolist()
         fm = RLFMIndex.from_bwt(bwt)
+        ranking = random_ranking(rng, fm.alphabet_size)
         n = len(bwt)
         symbols = range(-1, fm.alphabet_size + 1)
         prefix = {c: list(itertools.accumulate((x == c for x in bwt), initial=0)) for c in symbols}
@@ -286,9 +312,10 @@ def test_grouped_rank_at_run_boundaries():
                 for width in (1, 2):
                     if span <= 2 * width:
                         continue  # the scan path; only the per-symbol path is probed here
-                    chosen = [rng.randint(-1, fm.alphabet_size) for _ in range(width)]
+                    a = rng.randint(1, fm.alphabet_size - width + 1)
+                    chosen = ranking[1][a - 1 : a - 1 + width]
                     calls = fm.stats.rank_calls
-                    got = fm.count_symbols_in_range(p + 1, hi, chosen)
+                    got = fm.count_symbols_in_range(p + 1, hi, range(a, a + width), *ranking)
                     assert fm.stats.rank_calls == calls + 2 * width
                     assert got == sum(rank(c, hi) - rank(c, p) for c in chosen), (s, p + 1, hi, chosen)
         for _ in range(10):
