@@ -119,8 +119,8 @@ def _cmd_stats(args) -> int:
     print("r1,%d" % idx.rlfm1.run_count)
     if idx.rlfm0 is not None:
         print("r0,%d" % idx.rlfm0.run_count)
-    for name in ("header", "alphabet", "grammar", "level1_bwt", "short_trie", "baseline", "total"):
-        print("bytes_%s,%d" % (name, sizes[name]))
+    for name, size in sizes.items():
+        print("bytes_%s,%d" % (name, size))
     return 0
 
 

@@ -15,3 +15,7 @@ class InvalidParameterError(ValueError):
 
 class InvalidPatternError(ValueError):
     """Raised when a query pattern is empty."""
+
+
+class CorruptIndexError(ValueError):
+    """Raised when an index file is truncated, damaged or in an old format."""

@@ -1,4 +1,4 @@
-"""Index assembly and the on-disk format.
+"""Index assembly and the on-disk format (version 2).
 
 The serialized file stores only primary data: the alphabet map, the rule
 strings in lexicographic order, the run-length compressed BWT of the
@@ -7,14 +7,23 @@ BWT runs.  Rank structures, the reversed rules with their colex order and
 ranks, and the trie's child slices are rebuilt on load, so serialize ->
 load -> serialize is byte-identical.
 
-All multi-byte integers are little-endian; counts are unsigned 32-bit,
-and saving refuses any value that does not fit.
+All multi-byte integers are little-endian.  The rules are one byte string
+in which each rule ends with a 0 byte, a code no text uses, so one
+``bytes.split`` recovers them.  Each run and trie column is stored behind
+one width byte at the narrowest of 1, 2, 4 or 8 bytes per value that
+holds its largest value, so its values are limited only by int64; it
+loads with one ``np.frombuffer`` and is widened to int64 once.  A CRC-32
+of everything before it ends the file.  Loading checks the structure
+first and the checksum last, and every file it rejects raises
+``CorruptIndexError``.
 """
 
 from __future__ import annotations
 
 import io
+import operator
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +31,12 @@ import numpy as np
 from gfi import bwt as bwt_mod
 from gfi import grammar as grammar_mod
 from gfi.alphabet import DenseAlphabet, densify
-from gfi.errors import InvalidParameterError
+from gfi.errors import CorruptIndexError, InvalidParameterError
 from gfi.rlfm import RLFMIndex
 from gfi.shorttrie import ShortPatternTrie
 
 MAGIC = b"GFI1"
-VERSION = 1
+VERSION = 2
 MAX_LAMBDA = 255  # the header stores the chunk size in one byte
 
 
@@ -80,19 +89,29 @@ def build_index(data: bytes, lam: int, with_baseline: bool = False) -> TextIndex
     )
 
 
-def _rows(*columns) -> bytes:
-    """The row count, then the columns interleaved row by row, as u32 fields."""
-    rows = np.column_stack(columns)
-    if rows.size and (rows.min() < 0 or rows.max() >= 2**32):
-        raise ValueError("an index field does not fit in 32 bits")
-    return struct.pack("<I", len(rows)) + rows.astype("<u4").tobytes()
+def _width(top: int) -> int:
+    """Bytes per value of the narrowest column that holds 0..top."""
+    return 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4 if top < 1 << 32 else 8
+
+
+def _columns(*columns) -> bytes:
+    """The row count (u32), then each column as its width byte and its values."""
+    out = [struct.pack("<I", len(columns[0]))]
+    for column in columns:
+        column = np.asarray(column)
+        top = int(column.max()) if len(column) else 0
+        if len(column) and column.min() < 0:
+            raise ValueError("index fields must be nonnegative")
+        width = _width(top)
+        out.append(bytes([width]) + column.astype("<u%d" % width).tobytes())
+    return b"".join(out)
 
 
 def _take(buf: io.BytesIO, size: int) -> bytes:
     """The next ``size`` bytes of the file; ValueError when fewer remain."""
     data = buf.read(size)
     if len(data) != size:
-        raise ValueError("index file is truncated")
+        raise ValueError("truncated")
     return data
 
 
@@ -100,76 +119,132 @@ def _unpack(buf: io.BytesIO, fmt: str) -> tuple:
     return struct.unpack(fmt, _take(buf, struct.calcsize(fmt)))
 
 
-def _read_runs(buf: io.BytesIO) -> RLFMIndex:
-    (count,) = _unpack(buf, "<I")
-    pairs = np.frombuffer(_take(buf, count * 8), dtype="<u4").astype(np.int64)
-    return RLFMIndex(run_heads=pairs[0::2], run_lengths=pairs[1::2])
+def _read_columns(buf: io.BytesIO, count: int) -> np.ndarray:
+    """``count`` columns written by ``_columns``, widened to the rows of one
+    int64 array; one array per column made each load fault in several
+    times as many fresh pages."""
+    (rows,) = _unpack(buf, "<I")
+    columns = []
+    for _ in range(count):
+        (width,) = _unpack(buf, "<B")
+        if width not in (1, 2, 4, 8):
+            raise ValueError("column width %d is not 1, 2, 4 or 8" % width)
+        column = np.frombuffer(_take(buf, rows * width), dtype="<u%d" % width)
+        if width == 8 and rows and column.max() >> 63:
+            raise ValueError("a column value exceeds int64")
+        columns.append(column)
+    return np.array(columns, dtype=np.int64)
+
+
+def _read_runs(buf: io.BytesIO, top: int, what: str, symbols: str) -> RLFMIndex:
+    """A run-length BWT over symbols 0..top in which every symbol occurs."""
+    heads, lengths = _read_columns(buf, 2)
+    if (heads.max() if len(heads) else -1) != top:
+        raise ValueError("%s BWT symbols do not match the %d %s" % (what, top, symbols))
+    if len(lengths) and lengths.min() == 0:
+        raise ValueError("%s BWT has a run of length 0" % what)
+    rlfm = RLFMIndex(run_heads=heads, run_lengths=lengths)
+    if rlfm.C[1] != 1:  # the runs of symbol 0 are one run of length 1
+        raise ValueError("%s BWT must hold exactly one terminator" % what)
+    return rlfm
 
 
 def _sections(index: TextIndex) -> list[tuple[str, bytes]]:
     """The file's sections in file order, each as (name, serialized bytes)."""
-    rules = b"".join(struct.pack("<I", len(s)) + s for s in index.grammar.rhs)
+    rules = b"".join(s + b"\0" for s in index.grammar.rhs)
+    trie = index.trie
     baseline = b"\x00"
     if index.rlfm0 is not None:
-        baseline = b"\x01" + _rows(index.rlfm0.run_heads, index.rlfm0.run_lengths)
-    return [
+        baseline = b"\x01" + _columns(index.rlfm0.run_heads, index.rlfm0.run_lengths)
+    sections = [
         ("header", MAGIC + struct.pack("<BB", VERSION, index.lam)),
         ("alphabet", struct.pack("<I", index.alphabet.size) + index.alphabet.code_to_byte),
-        ("grammar", struct.pack("<I", index.grammar.size) + rules),
-        ("level1_bwt", _rows(index.rlfm1.run_heads, index.rlfm1.run_lengths)),
-        ("short_trie", _rows(index.trie.parents, index.trie.edges, index.trie.counts)),
+        ("grammar", struct.pack("<I", len(rules)) + rules),
+        ("level1_bwt", _columns(index.rlfm1.run_heads, index.rlfm1.run_lengths)),
+        ("short_trie", _columns(trie.child_counts, trie.edges, trie.counts)),
         ("baseline", baseline),
     ]
+    crc = 0
+    for _, data in sections:
+        crc = zlib.crc32(data, crc)
+    return sections + [("checksum", struct.pack("<I", crc))]
 
 
 def save_index(index: TextIndex) -> bytes:
     return b"".join(data for _, data in _sections(index))
 
 
-def load_index(data: bytes) -> TextIndex:
+def _read_index(data: bytes) -> TextIndex:
     buf = io.BytesIO(data)
     if _take(buf, 4) != MAGIC:
-        raise ValueError("not an index file")
+        raise CorruptIndexError("not a gfi index file")
     version, lam = _unpack(buf, "<BB")
+    if version == 1:
+        raise CorruptIndexError("index file is format version 1; rebuild the index")
     if version != VERSION:
-        raise ValueError("unsupported index version %d" % version)
+        raise CorruptIndexError("unsupported index format version %d" % version)
     if lam < 1:
         raise ValueError("chunk size must be at least 1, not %d" % lam)
 
     (sigma,) = _unpack(buf, "<I")
     alphabet = DenseAlphabet(code_to_byte=_take(buf, sigma))
 
-    (rule_count,) = _unpack(buf, "<I")
-    rhs = []
-    for _ in range(rule_count):
-        (length,) = _unpack(buf, "<I")
-        if length > lam:
-            raise ValueError("rule of length %d exceeds the chunk size %d" % (length, lam))
-        rhs.append(_take(buf, length))
+    (size,) = _unpack(buf, "<I")
+    rules = _take(buf, size)
+    rhs = rules.split(b"\0")  # each rule ends with a 0 byte
+    if rhs.pop():
+        raise ValueError("the last rule has no terminating 0 byte")
+    lengths = np.fromiter(map(len, rhs), dtype=np.int64, count=len(rhs))
+    if rhs and lengths.max() > lam:
+        raise ValueError("a rule of length %d exceeds the chunk size %d" % (lengths.max(), lam))
+    if rhs and lengths.min() == 0:
+        raise ValueError("a rule is empty")
+    if size and np.frombuffer(rules, dtype=np.uint8).max() > sigma:
+        raise ValueError("a rule holds a code above the alphabet size %d" % sigma)
+    if not all(map(operator.lt, rhs, rhs[1:])):
+        raise ValueError("rules must be sorted and distinct")
     gram = grammar_mod.Grammar(lam=lam, sigma=sigma, rhs=rhs)
 
-    rlfm1 = _read_runs(buf)
-    if rlfm1.alphabet_size != rule_count + 1:  # every rule occurs in the rewritten text
-        raise ValueError("level-1 BWT symbols do not match the %d rules" % rule_count)
-
-    (node_count,) = _unpack(buf, "<I")
-    rows = np.frombuffer(_take(buf, node_count * 12), dtype="<u4").astype(np.int64)
-    trie = ShortPatternTrie(parents=rows[0::3], edges=rows[1::3], counts=rows[2::3])
-
+    rlfm1 = _read_runs(buf, len(rhs), "level-1", "rules")
+    trie = ShortPatternTrie(*_read_columns(buf, 3))
     (has_baseline,) = _unpack(buf, "<B")
-    rlfm0 = _read_runs(buf) if has_baseline else None
+    if has_baseline > 1:
+        raise ValueError("baseline flag %d is not 0 or 1" % has_baseline)
+    rlfm0 = _read_runs(buf, sigma, "baseline", "alphabet codes") if has_baseline else None
+    (checksum,) = _unpack(buf, "<I")
     if buf.tell() != len(data):
-        raise ValueError("index file has %d trailing bytes" % (len(data) - buf.tell()))
+        raise ValueError("%d trailing bytes after the checksum" % (len(data) - buf.tell()))
+
     index = TextIndex(
         alphabet=alphabet, lam=lam, grammar=gram, rlfm1=rlfm1, trie=trie, rlfm0=rlfm0
     )
+    n = int(np.diff(rlfm1.C)[1:] @ lengths)  # index.n, from the lengths at hand
     # The trie holds every substring shorter than lam, so its depth pins lam
     # for any text of at least lam - 1 characters.
-    if trie.height != min(lam - 1, index.n):
+    if trie.height != min(lam - 1, n):
         raise ValueError(
             "short-pattern trie depth %d does not match chunk size %d" % (trie.height, lam)
         )
+    # The level-1 runs give the text length as the sum of each rule's
+    # frequency times its length; the trie's depth-1 counts and the
+    # baseline's length give it again.
+    if lam > 1 and sum(trie.counts[: trie.kids[1]]) != n:
+        raise ValueError("the level-1 runs and the trie disagree on the text length")
+    if rlfm0 is not None and rlfm0.total_length != n + 1:
+        raise ValueError("the level-1 runs and the baseline disagree on the text length")
+    if zlib.crc32(memoryview(data)[:-4]) != checksum:
+        raise ValueError("checksum mismatch")
     return index
+
+
+def load_index(data: bytes) -> TextIndex:
+    """The index stored in ``data``; CorruptIndexError names what is wrong."""
+    try:
+        return _read_index(data)
+    except CorruptIndexError:
+        raise
+    except ValueError as exc:  # the structural checks and the constructors' own
+        raise CorruptIndexError("corrupt index file: %s" % exc) from exc
 
 
 def save_index_file(index: TextIndex, path: str):

@@ -2,14 +2,14 @@
 
 Patterns shorter than the chunk size can straddle chunk boundaries in the
 text, so they bypass the dictionary search entirely and are answered from
-this trie.  Nodes are stored as flat parallel arrays (parent, edge code,
-count) with ids assigned level by level in lexicographic order, which
-makes the serialized form deterministic.  In that order, the level-order
-layout of Jacobson's succinct trees, the children of a node are one
-contiguous run of ids with their edge codes ascending, so one array of
-child-slice bounds, the running sum of a count of the parents, is all a
-lookup needs: each pattern code is one binary search over the
-current node's child edges.
+this trie.  Nodes are stored as flat parallel arrays (child count, edge
+code, count) with ids assigned level by level in lexicographic order,
+which makes the serialized form deterministic.  In that order, the
+level-order layout of Jacobson's succinct trees, the children of a node
+are one contiguous run of ids with their edge codes ascending, so one
+array of child-slice bounds, the running sum of the child counts, is all
+a lookup needs: each pattern code is one binary search over the current
+node's child edges.
 """
 
 from __future__ import annotations
@@ -22,33 +22,36 @@ import numpy as np
 class ShortPatternTrie:
     """Trie of depth lam-1 over the dense alphabet; node counts are exact."""
 
-    def __init__(self, parents, edges, counts):
-        parents = np.asarray(parents, dtype=np.int64)
+    def __init__(self, child_counts, edges, counts):
+        """Nodes 1..n by their edges and counts; ``child_counts[p]`` is node
+        p's number of children for p in 0..n-1 (0 is the root).  The last
+        node comes last in level order, so it has none."""
+        child_counts = np.asarray(child_counts, dtype=np.int64)
         edges = np.asarray(edges, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
-        n = len(parents)
-        if not n == len(edges) == len(counts):
-            raise ValueError("trie parent, edge and count arrays differ in length")
-        if np.any((parents < 0) | (parents >= np.arange(1, n + 1))):
+        n = len(edges)
+        if not n == len(child_counts) == len(counts):
+            raise ValueError("trie child-count, edge and count arrays differ in length")
+        if np.any(child_counts < 0) or child_counts.sum() != n:
+            raise ValueError("trie child counts must be nonnegative and sum to the node count")
+        # Node p's children are the ids kids[p]+1 .. kids[p+1], and their
+        # edges are edges[kids[p]:kids[p+1]]; node ids start at 1.
+        kids = np.zeros(n + 2, dtype=np.int64)
+        np.cumsum(child_counts, out=kids[1 : n + 1])
+        kids[n + 1] = n
+        parents = np.repeat(np.arange(n), child_counts)
+        if np.any(parents >= np.arange(1, n + 1)):
             raise ValueError("every trie node's parent must be an earlier node")
-        if np.any(parents[1:] < parents[:-1]):
-            raise ValueError("trie nodes must come in order of their parents")
         if np.any((parents[1:] == parents[:-1]) & (edges[1:] <= edges[:-1])):
             raise ValueError("a trie node's child edges must strictly increase")
-        # Node p's children are the ids kids[p]+1 .. kids[p+1], and their
-        # edges are edges[kids[p]:kids[p+1]]; node ids start at 1 (0 is the root).
-        # So kids is the running sum of the child counts; the checks above
-        # keep every parent in 0..n-1.
-        kids = np.zeros(n + 2, dtype=np.int64)
-        np.cumsum(np.bincount(parents, minlength=n + 1), out=kids[1:])
         self.kids = memoryview(kids)
-        self.parents = memoryview(parents)
+        self.child_counts = memoryview(child_counts)
         self.edges = memoryview(edges)
         self.counts = memoryview(counts)
         # Ids come level by level, so the last node is a deepest one.
         self.height, node = 0, n
         while node:
-            node = self.parents[node - 1]
+            node = int(parents[node - 1])
             self.height += 1
 
     @classmethod
@@ -77,16 +80,17 @@ class ShortPatternTrie:
             counts.append(cnt)
             first_id += level_size
             level_size = len(level_keys)
+        edges = np.concatenate(edges)
         return cls(
-            parents=np.concatenate(parents),
-            edges=np.concatenate(edges),
+            child_counts=np.bincount(np.concatenate(parents), minlength=len(edges)),
+            edges=edges,
             counts=np.concatenate(counts),
         )
 
     @property
     def node_count(self) -> int:
         """Number of stored nodes, the root excluded."""
-        return len(self.parents)
+        return len(self.edges)
 
     def count(self, codes: bytes) -> int:
         """Occurrences of the code bytes, 0 when no text substring spells them."""

@@ -1,4 +1,6 @@
-import numpy as np
+import struct
+import zlib
+
 import pytest
 
 from gfi.index import build_index, load_index, section_sizes
@@ -25,16 +27,29 @@ def to_codes(s: bytes) -> bytes:
     return bytes(c - 96 for c in s)
 
 
+def reseal(blob: bytes) -> bytes:
+    """The index file with its CRC-32 trailer recomputed over the rest, so
+    that only the structural checks can reject a patched file."""
+    body = blob[:-4]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def corrupt_trie_rows(blob: bytes, damage: str) -> bytes:
-    """The index file with its first two trie rows (the level-1 nodes for
-    codes 1 and 2) given swapped edge codes, or the second row the first
-    row's edge code."""
+    """The index file with its first two trie nodes (the level-1 nodes for
+    codes 1 and 2) given swapped edge codes, or the second node the first
+    node's edge code, or the root one child too many; resealed."""
     sizes = section_sizes(load_index(blob))
-    rows = 4 + sum(sizes[name] for name in ("header", "alphabet", "grammar", "level1_bwt"))
-    fields = np.frombuffer(blob, dtype="<u4", count=6, offset=rows).copy()
-    assert fields[[0, 1, 3, 4]].tolist() == [0, 1, 0, 2]  # (parent, edge) of both rows
+    trie = sum(sizes[name] for name in ("header", "alphabet", "grammar", "level1_bwt"))
+    (rows,) = struct.unpack_from("<I", blob, trie)
+    child_counts = trie + 5  # after the row count and the column's width byte
+    edges = child_counts + rows + 1
+    assert blob[child_counts - 1] == blob[edges - 1] == 1  # both columns one byte wide
+    assert blob[edges : edges + 2] == b"\x01\x02"
+    out = bytearray(blob)
     if damage == "swapped":
-        fields[1], fields[4] = fields[4], fields[1]
+        out[edges : edges + 2] = b"\x02\x01"
+    elif damage == "duplicated":
+        out[edges + 1] = 1
     else:
-        fields[4] = fields[1]
-    return blob[:rows] + fields.tobytes() + blob[rows + fields.nbytes :]
+        out[child_counts] += 1  # the root's
+    return reseal(bytes(out))

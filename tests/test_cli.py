@@ -3,6 +3,8 @@ import pytest
 
 from conftest import corrupt_trie_rows
 from gfi.cli import main
+from gfi.grammar import Grammar
+from gfi.index import build_index, save_index
 from gfi.oracle import naive_count
 
 
@@ -190,6 +192,27 @@ def test_count_rejects_corrupt_trie_section(tmp_path, capsys, damage):
     status, out, err = run(capsys, "count", "-x", str(idx_file), "-p", str(pat_file))
     assert status == 2 and out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize("damage", ["flipped_byte", "swapped_rules"])
+def test_count_rejects_damaged_index(tmp_path, capsys, damage):
+    """A flipped byte fails the checksum; swapped rules, saved with a valid
+    checksum, fail the rule-order check.  Either way: exit 2, no traceback."""
+    text = b"bacabacaacbcbc" * 5
+    idx = build_index(text, 4, with_baseline=True)
+    if damage == "swapped_rules":
+        rhs = idx.grammar.rhs
+        idx.grammar = Grammar(lam=4, sigma=3, rhs=[rhs[0], rhs[2], rhs[1]] + rhs[3:])
+    blob = bytearray(save_index(idx))
+    if damage == "flipped_byte":
+        blob[len(blob) // 2] ^= 0xFF
+    idx_file = tmp_path / "t.gfi"
+    idx_file.write_bytes(bytes(blob))
+    pat_file = tmp_path / "p.txt"
+    pat_file.write_bytes(b"abac\n")
+    status, out, err = run(capsys, "count", "-x", str(idx_file), "-p", str(pat_file))
+    assert status == 2 and out == ""
+    assert err.startswith("error: corrupt index file:") and "Traceback" not in err
 
 
 def test_gen_random_rejects_sigma_above_length(tmp_path, capsys):

@@ -1,12 +1,15 @@
 import random
+import struct
 
 import numpy as np
 import pytest
 
-from conftest import corrupt_trie_rows
-from gfi.errors import InvalidParameterError
+from conftest import corrupt_trie_rows, reseal
+from gfi.alphabet import DenseAlphabet
+from gfi.errors import CorruptIndexError, InvalidParameterError
 from gfi.grammar import Grammar
 from gfi.index import (
+    TextIndex,
     build_index,
     load_index,
     save_index,
@@ -85,6 +88,12 @@ def test_rejects_bad_magic_and_version():
         load_index(blob[:4] + b"\x09" + blob[5:])
 
 
+def test_rejects_version_1_with_rebuild_hint():
+    blob = save_index(build_index(b"abc", 2))
+    with pytest.raises(CorruptIndexError, match="version 1; rebuild the index"):
+        load_index(blob[:4] + b"\x01" + blob[5:])
+
+
 def test_rejects_bad_lambda():
     with pytest.raises(InvalidParameterError):
         build_index(b"abc", 0)
@@ -104,25 +113,28 @@ def test_rejects_patched_lambda(lam, reason):
     blob = bytearray(save_index(build_index(b"bacabacaacbcbc" * 3, 4)))
     assert blob[5] == 4
     blob[5] = lam
-    with pytest.raises(ValueError, match=reason):
-        load_index(bytes(blob))
+    with pytest.raises(CorruptIndexError, match=reason):
+        load_index(reseal(bytes(blob)))
 
 
 def test_rejects_truncated_or_padded_file():
     blob = save_index(build_index(b"bacabacaacbcbc" * 5, 4, with_baseline=True))
     for cut in range(len(blob)):
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(CorruptIndexError, match="truncated"):
             load_index(blob[:cut])
-    with pytest.raises(ValueError, match="1 trailing byte"):
+    with pytest.raises(CorruptIndexError, match="1 trailing byte"):
         load_index(blob + b"\x00")
 
 
-@pytest.mark.parametrize("damage", ["swapped", "duplicated"])
+@pytest.mark.parametrize("damage", ["swapped", "duplicated", "miscounted"])
 def test_rejects_corrupt_trie_section(damage):
     text = b"bacabacaacbcbc" * 5
     blob = save_index(build_index(text, 4, with_baseline=True))
     assert load_index(blob).count(b"a") == text.count(b"a") == 25
-    with pytest.raises(ValueError, match="child edges must strictly increase"):
+    reason = "child edges must strictly increase"
+    if damage == "miscounted":
+        reason = "sum to the node count"
+    with pytest.raises(CorruptIndexError, match=reason):
         load_index(corrupt_trie_rows(blob, damage))
 
 
@@ -137,8 +149,8 @@ def test_rejects_corrupt_alphabet(alphabet):
     blob = bytearray(save_index(build_index(b"bacabacaacbcbc" * 5, 4, with_baseline=True)))
     assert blob[10:13] == b"abc"  # after the 6-byte header and the u32 size
     blob[10:13] = alphabet
-    with pytest.raises(ValueError, match="alphabet"):
-        load_index(bytes(blob))
+    with pytest.raises(CorruptIndexError, match="alphabet"):
+        load_index(reseal(bytes(blob)))
 
 
 @pytest.mark.parametrize("unused", [True, False], ids=["unused_rule", "missing_rule"])
@@ -147,16 +159,104 @@ def test_rejects_rules_not_matching_level1_symbols(unused):
     idx = build_index(b"bacabacaacbcbc", 4)
     rhs = idx.grammar.rhs + [bytes([3] * 4)] if unused else idx.grammar.rhs[:-1]
     idx.grammar = Grammar(lam=4, sigma=3, rhs=rhs)
-    with pytest.raises(ValueError, match="rules"):
+    with pytest.raises(CorruptIndexError, match="rules"):
         load_index(save_index(idx))
 
 
-def test_save_refuses_fields_beyond_32_bits():
-    idx = build_index(b"bacabacaacbcbc", 4)
-    idx.rlfm1 = RLFMIndex(run_heads=[1, 0], run_lengths=[2**32 + 3, 1])
-    with pytest.raises(ValueError, match="32 bits"):
-        save_index(idx)
-    idx = build_index(b"bacabacaacbcbc", 4)
-    idx.trie = ShortPatternTrie(parents=[0], edges=[1], counts=[2**32])
-    with pytest.raises(ValueError, match="32 bits"):
-        save_index(idx)
+@pytest.mark.parametrize(
+    "damage, reason",
+    [
+        (lambda r: [r[0], r[2], r[1]] + r[3:], "sorted and distinct"),
+        (lambda r: r[:2] + [r[1]] + r[3:], "sorted and distinct"),
+        (lambda r: [b""] + r[1:], "empty"),
+        (lambda r: r[:-1] + [bytes([4])], "above the alphabet size"),
+        (lambda r: r[:-1] + [bytes([3] * 5)], "exceeds the chunk size"),
+    ],
+    ids=["swapped", "duplicated", "empty", "code_above_sigma", "too_long"],
+)
+def test_rejects_malformed_rules(damage, reason):
+    """Lex ids are ranks of the sorted rules: swapping ``ab`` and ``ac``
+    used to load and then miscount."""
+    idx = build_index(b"bacabacaacbcbc" * 5, 4, with_baseline=True)
+    assert idx.grammar.rhs[1:3] == [bytes([1, 2]), bytes([1, 3])]  # ab, ac
+    idx.grammar = Grammar(lam=4, sigma=3, rhs=damage(idx.grammar.rhs))
+    with pytest.raises(CorruptIndexError, match=reason):
+        load_index(save_index(idx))
+
+
+def _unary_index(n: int) -> TextIndex:
+    """A consistent lambda=2 index of ``a`` repeated n times, written by hand."""
+    return TextIndex(
+        alphabet=DenseAlphabet(b"a"),
+        lam=2,
+        grammar=Grammar(lam=2, sigma=1, rhs=[bytes([1])]),
+        rlfm1=RLFMIndex(run_heads=[1, 0], run_lengths=[n, 1]),
+        trie=ShortPatternTrie(child_counts=[1], edges=[1], counts=[n]),
+    )
+
+
+@pytest.mark.parametrize("n", [2**32 + 3, 2**32])
+def test_fields_beyond_32_bits_round_trip_at_width_8(n):
+    """A level-1 run length and a trie count past 32 bits take 8-byte columns."""
+    blob = save_index(_unary_index(n))
+    loaded = load_index(blob)
+    assert save_index(loaded) == blob
+    assert loaded.n == n and loaded.count(b"a") == n
+    with pytest.raises(CorruptIndexError, match="exceeds int64"):
+        load_index(reseal(blob.replace(struct.pack("<Q", n), struct.pack("<Q", 2**63 + n))))
+
+
+def _substrings(text: bytes, longest: int) -> set[bytes]:
+    return {text[i : i + m] for m in range(1, longest + 1) for i in range(len(text) - m + 1)}
+
+
+@pytest.fixture(scope="module")
+def fuzz_blob():
+    """A small lambda=4 index with its baseline, and its text."""
+    text = b"bacabacaacbcbc" * 5
+    return text, save_index(build_index(text, 4, with_baseline=True))
+
+
+def test_fuzz_every_truncation_is_rejected(fuzz_blob):
+    _, blob = fuzz_blob
+    for cut in range(len(blob)):
+        with pytest.raises(CorruptIndexError):
+            load_index(blob[:cut])
+
+
+def _flips(blob: bytes, count: int, seed: int):
+    """``count`` seeded copies of the blob, each with one byte XORed by 1..255."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        out = bytearray(blob)
+        out[rng.randrange(len(out))] ^= rng.randrange(1, 256)
+        yield bytes(out)
+
+
+def test_fuzz_byte_flips_with_stale_checksum_are_rejected(fuzz_blob):
+    """CRC-32 detects every burst of at most 32 bits, so each flip is caught."""
+    _, blob = fuzz_blob
+    for damaged in _flips(blob, 300, 1):
+        with pytest.raises(CorruptIndexError):
+            load_index(damaged)
+
+
+def test_fuzz_byte_flips_with_resealed_checksum_never_crash(fuzz_blob):
+    """With the checksum recomputed, only the structural checks stand between
+    a flip and the query code.  Each flip must be rejected, or give an index
+    whose counts run to an int on every substring up to length 12.  They need
+    not be right: a flipped count field can miscount silently, and it is the
+    checksum that catches that."""
+    text, blob = fuzz_blob
+    substrings = sorted(_substrings(text, 12))
+    loaded = 0
+    for damaged in _flips(blob[:-4], 300, 2):
+        try:
+            idx = load_index(reseal(damaged + bytes(4)))
+        except CorruptIndexError:
+            continue
+        loaded += 1
+        for pattern in substrings:
+            assert isinstance(idx.count(pattern), int)
+            assert isinstance(idx.count_baseline(pattern), int)
+    assert 0 < loaded < 300  # some flips reach the query code, some are rejected

@@ -28,18 +28,21 @@ def test_depth_zero_trie_is_empty():
 
 
 def test_rejects_malformed_node_arrays():
-    with pytest.raises(ValueError):
-        ShortPatternTrie(parents=[0, 2], edges=[1, 1], counts=[2, 1])
-    with pytest.raises(ValueError):
-        ShortPatternTrie(parents=[1], edges=[1], counts=[1])
-    with pytest.raises(ValueError):
-        ShortPatternTrie(parents=[0, 1], edges=[1, 1], counts=[2])
-    with pytest.raises(ValueError, match="order of their parents"):
-        ShortPatternTrie(parents=[0, 1, 0], edges=[1, 1, 2], counts=[2, 1, 1])
+    # Node 2 would be its own child: the child counts of nodes 0..1 sum to 1, not 2.
+    with pytest.raises(ValueError, match="sum to the node count"):
+        ShortPatternTrie(child_counts=[1, 0], edges=[1, 1], counts=[2, 1])
+    # Node 1 would be its own child: the root has none.
+    with pytest.raises(ValueError, match="sum to the node count"):
+        ShortPatternTrie(child_counts=[0], edges=[1], counts=[1])
+    with pytest.raises(ValueError, match="differ in length"):
+        ShortPatternTrie(child_counts=[1, 1], edges=[1, 1], counts=[2])
+    # Node 2's children would be nodes 2 and 3: a node listed before its parent.
+    with pytest.raises(ValueError, match="earlier node"):
+        ShortPatternTrie(child_counts=[1, 0, 2], edges=[1, 1, 2], counts=[2, 1, 1])
     with pytest.raises(ValueError, match="strictly increase"):
-        ShortPatternTrie(parents=[0, 0], edges=[2, 1], counts=[1, 1])
+        ShortPatternTrie(child_counts=[2, 0], edges=[2, 1], counts=[1, 1])
     with pytest.raises(ValueError, match="strictly increase"):
-        ShortPatternTrie(parents=[0, 0, 1, 1], edges=[1, 2, 1, 1], counts=[2, 1, 1, 1])
+        ShortPatternTrie(child_counts=[2, 2, 0, 0], edges=[1, 2, 1, 1], counts=[2, 1, 1, 1])
 
 
 def test_counts_match_naive_and_suffix_array():
@@ -78,8 +81,9 @@ def test_node_counts_are_consistent():
         raw = text.astype(np.uint8).tobytes()
         label = {0: b""}
         children_sum = {node: 0 for node in range(trie.node_count + 1)}
+        parents = np.repeat(np.arange(trie.node_count), trie.child_counts)
         for node in range(1, trie.node_count + 1):
-            parent = int(trie.parents[node - 1])
+            parent = int(parents[node - 1])
             label[node] = label[parent] + bytes([int(trie.edges[node - 1])])
             children_sum[parent] += int(trie.counts[node - 1])
         for node in range(1, trie.node_count + 1):
