@@ -88,12 +88,4 @@ def bwt_of(s) -> np.ndarray:
     The result keeps the dtype of ``np.asarray(s)``.
     """
     s = np.asarray(s)
-    return np.append(s, 0)[suffix_array(s) - 2]
-
-
-def run_count(seq) -> int:
-    """Number of maximal equal-symbol runs."""
-    seq = np.asarray(seq)
-    if len(seq) == 0:
-        return 0
-    return int(np.count_nonzero(seq[1:] != seq[:-1])) + 1
+    return np.append(s, s.dtype.type(0))[suffix_array(s) - 2]

@@ -71,10 +71,6 @@ class Grammar:
         lo, hi = _starting_with(self.reversed_rhs, q[::-1], self.lam)
         return range(lo + 1, hi + 1)
 
-    def colex_ranks(self) -> np.ndarray:
-        """Colex rank per lex id; entry 0 is the terminator's rank 0."""
-        return np.asarray(self.colex_rank)
-
     def expansion_lengths(self) -> np.ndarray:
         """Rule lengths indexed by lex id (entry 0 is the terminator, length 0)."""
         out = np.zeros(len(self.rhs) + 1, dtype=np.int64)
@@ -85,13 +81,15 @@ class Grammar:
 def build(codes: bytes, lam: int) -> tuple[Grammar, np.ndarray]:
     """Build the dictionary over the code string's chunks and rewrite it.
 
-    Returns the grammar and the rewritten text (one lex id per chunk);
-    expanding the ids through the rules reproduces the codes.
+    Returns the grammar and the rewritten text (one lex id per chunk, in
+    the narrowest unsigned dtype that holds every id); expanding the ids
+    through the rules reproduces the codes.
     """
     if lam < 1:
         raise InvalidParameterError("chunk size must be at least 1")
     chunks = lms.chunk(lms.factorize(codes, lms.classify(codes)), lam)
     grammar = Grammar(lam=lam, sigma=max(codes, default=0), rhs=sorted(set(chunks)))
     ids = grammar.rhs_id
-    level1 = np.fromiter((ids[c] for c in chunks), dtype=np.int64, count=len(chunks))
+    dtype = np.min_scalar_type(grammar.size)
+    level1 = np.fromiter((ids[c] for c in chunks), dtype=dtype, count=len(chunks))
     return grammar, level1

@@ -12,9 +12,9 @@ in which each rule ends with a 0 byte, a code no text uses, so one
 ``bytes.split`` recovers them.  Each run and trie column is stored behind
 one width byte at the narrowest of 1, 2, 4 or 8 bytes per value that
 holds its largest value, so its values are limited only by int64; it
-loads with one ``np.frombuffer`` and is widened to int64 once.  A CRC-32
-of everything before it ends the file.  Loading checks the structure
-first and the checksum last, and every file it rejects raises
+loads with one ``np.frombuffer`` and keeps that width in memory.  A
+CRC-32 of everything before it ends the file.  Loading checks the
+structure first and the checksum last, and every file it rejects raises
 ``CorruptIndexError``.
 """
 
@@ -30,6 +30,7 @@ import numpy as np
 
 from gfi import bwt as bwt_mod
 from gfi import grammar as grammar_mod
+from gfi import query
 from gfi.alphabet import DenseAlphabet, densify
 from gfi.errors import CorruptIndexError, InvalidParameterError
 from gfi.rlfm import RLFMIndex
@@ -58,8 +59,6 @@ class TextIndex:
         return int(counts @ self.grammar.expansion_lengths()[1 : len(counts) + 1])
 
     def count(self, pattern: bytes, trace=None) -> int:
-        from gfi import query
-
         return query.count(self, pattern, trace)
 
     def count_baseline(self, pattern: bytes) -> int:
@@ -89,11 +88,6 @@ def build_index(data: bytes, lam: int, with_baseline: bool = False) -> TextIndex
     )
 
 
-def _width(top: int) -> int:
-    """Bytes per value of the narrowest column that holds 0..top."""
-    return 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4 if top < 1 << 32 else 8
-
-
 def _columns(*columns) -> bytes:
     """The row count (u32), then each column as its width byte and its values."""
     out = [struct.pack("<I", len(columns[0]))]
@@ -102,7 +96,7 @@ def _columns(*columns) -> bytes:
         top = int(column.max()) if len(column) else 0
         if len(column) and column.min() < 0:
             raise ValueError("index fields must be nonnegative")
-        width = _width(top)
+        width = np.min_scalar_type(top).itemsize
         out.append(bytes([width]) + column.astype("<u%d" % width).tobytes())
     return b"".join(out)
 
@@ -119,10 +113,10 @@ def _unpack(buf: io.BytesIO, fmt: str) -> tuple:
     return struct.unpack(fmt, _take(buf, struct.calcsize(fmt)))
 
 
-def _read_columns(buf: io.BytesIO, count: int) -> np.ndarray:
-    """``count`` columns written by ``_columns``, widened to the rows of one
-    int64 array; one array per column made each load fault in several
-    times as many fresh pages."""
+def _read_columns(buf: io.BytesIO, count: int) -> list[np.ndarray]:
+    """``count`` columns written by ``_columns``, each at its stored width:
+    unsigned at widths 1, 2 and 4, and int64 at width 8, where numpy would
+    not take uint64 as repeat counts or mix it with int64."""
     (rows,) = _unpack(buf, "<I")
     columns = []
     for _ in range(count):
@@ -130,10 +124,12 @@ def _read_columns(buf: io.BytesIO, count: int) -> np.ndarray:
         if width not in (1, 2, 4, 8):
             raise ValueError("column width %d is not 1, 2, 4 or 8" % width)
         column = np.frombuffer(_take(buf, rows * width), dtype="<u%d" % width)
-        if width == 8 and rows and column.max() >> 63:
-            raise ValueError("a column value exceeds int64")
+        if width == 8:
+            if rows and int(column.max()) >> 63:
+                raise ValueError("a column value exceeds int64")
+            column = column.view("<i8")
         columns.append(column)
-    return np.array(columns, dtype=np.int64)
+    return columns
 
 
 def _read_runs(buf: io.BytesIO, top: int, what: str, symbols: str) -> RLFMIndex:

@@ -57,26 +57,26 @@ class RLFMIndex:
     """
 
     def __init__(self, run_heads, run_lengths):
-        self.run_heads = np.asarray(run_heads, dtype=np.int64)
-        self.run_lengths = np.asarray(run_lengths, dtype=np.int64)
+        # The runs keep the width they come in.  Heads as narrow as the
+        # build and the file make them keep the checks cheap and let the
+        # stable sort take numpy's radix path instead of timsort on int64;
+        # only the run starts and prefix sums derived here are int64.
+        self.run_heads = np.asarray(run_heads)
+        self.run_lengths = np.asarray(run_lengths)
         self.alphabet_size = int(self.run_heads.max()) + 1 if len(self.run_heads) else 1
-        # The narrowest dtype that holds every head makes the checks cheap
-        # and lets the stable sort take numpy's radix path instead of
-        # timsort on int64.
-        narrow = self.run_heads.astype(np.min_scalar_type(self.alphabet_size - 1))
-        if np.any(narrow[1:] == narrow[:-1]):
+        if np.any(self.run_heads[1:] == self.run_heads[:-1]):
             raise ValueError("adjacent runs must differ")
         # 1-based start position of each run
         starts = np.ones(len(self.run_heads), dtype=np.int64)
-        np.cumsum(self.run_lengths[:-1], out=starts[1:])
+        np.cumsum(self.run_lengths[:-1], dtype=np.int64, out=starts[1:])
         starts[1:] += 1
         # Slots first[c]:first[c+1] hold the runs of c in BWT order:
         # cstarts[j] is the start of the run in slot j, ascending within the
         # group, and mass[j] is the total length of the runs in slots :j.
-        order = np.argsort(narrow, kind="stable")
+        order = np.argsort(self.run_heads, kind="stable")
         first = np.searchsorted(self.run_heads[order], np.arange(self.alphabet_size + 1))
         mass = np.zeros(len(self.run_heads) + 1, dtype=np.int64)
-        np.cumsum(self.run_lengths[order], out=mass[1:])
+        np.cumsum(self.run_lengths[order], dtype=np.int64, out=mass[1:])
         self.total_length = int(mass[-1])
         self.heads = memoryview(self.run_heads)
         self.run_starts = memoryview(starts)

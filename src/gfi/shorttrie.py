@@ -25,10 +25,11 @@ class ShortPatternTrie:
     def __init__(self, child_counts, edges, counts):
         """Nodes 1..n by their edges and counts; ``child_counts[p]`` is node
         p's number of children for p in 0..n-1 (0 is the root).  The last
-        node comes last in level order, so it has none."""
-        child_counts = np.asarray(child_counts, dtype=np.int64)
-        edges = np.asarray(edges, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
+        node comes last in level order, so it has none.  The columns keep
+        the integer width they come in; only the child slices are int64."""
+        child_counts = np.asarray(child_counts)
+        edges = np.asarray(edges)
+        counts = np.asarray(counts)
         n = len(edges)
         if not n == len(child_counts) == len(counts):
             raise ValueError("trie child-count, edge and count arrays differ in length")
@@ -37,7 +38,7 @@ class ShortPatternTrie:
         # Node p's children are the ids kids[p]+1 .. kids[p+1], and their
         # edges are edges[kids[p]:kids[p+1]]; node ids start at 1.
         kids = np.zeros(n + 2, dtype=np.int64)
-        np.cumsum(child_counts, out=kids[1 : n + 1])
+        np.cumsum(child_counts, dtype=np.int64, out=kids[1 : n + 1])
         kids[n + 1] = n
         parents = np.repeat(np.arange(n), child_counts)
         if np.any(parents >= np.arange(1, n + 1)):

@@ -12,11 +12,12 @@ import numpy as np
 
 from conftest import to_codes
 from gfi import grammar as gm
-from gfi.bwt import bwt_of, run_count
+from gfi.bwt import bwt_of
 from gfi.index import build_index, load_index, save_index
 from gfi.lms import chunk_string
 from gfi.oracle import extract_patterns, naive_count
 from gfi.query import QueryTrace, count, pattern_factors
+from gfi.rlfm import RLFMIndex
 from gfi.xbwt import build_xbwt
 
 RUNNING = b"bacabacaacbcbc"
@@ -65,7 +66,7 @@ def test_criterion_03_level1_bwt():
 def test_criterion_04_colex_ranking():
     g, _ = gm.build(to_codes(RUNNING), 4)
     # terminator 0, A=4, B=2, C=3, D=1, E=5
-    assert g.colex_ranks().tolist() == [0, 4, 2, 3, 1, 5]
+    assert g.colex_rank.tolist() == [0, 4, 2, 3, 1, 5]
     print("criterion 4 PASS: colex ranks $0 D1 B2 C3 A4 E5")
 
 
@@ -139,11 +140,11 @@ def test_criterion_08_compression_trend(artificial_text):
 
     start = time.perf_counter()
     text = densify(artificial_text)[0]
-    r0 = run_count(bwt_of(np.frombuffer(text, dtype=np.uint8)))
+    r0 = RLFMIndex.from_bwt(bwt_of(np.frombuffer(text, dtype=np.uint8))).run_count
     r1 = {}
     for lam in range(1, 9):
         _, level1 = gm.build(text, lam)
-        r1[lam] = run_count(bwt_of(level1))
+        r1[lam] = RLFMIndex.from_bwt(bwt_of(level1)).run_count
     elapsed = time.perf_counter() - start
     assert all(r1[lam + 1] <= r1[lam] for lam in range(1, 8)), r1
     assert r1[1] == r0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import to_codes
-from gfi.bwt import bwt_of, run_count, suffix_array
+from gfi.bwt import bwt_of, suffix_array
 from gfi.rlfm import RLFMIndex
 
 
@@ -172,6 +172,13 @@ def test_bwt_contains_exactly_one_terminator():
 
 
 def test_run_count():
-    assert run_count([5, 3, 3, 2, 4, 0, 5, 1]) == 7  # ECCBD$EA, one doubled C
-    assert run_count([1, 1, 1, 0]) == 2
-    assert run_count([]) == 0
+    level1 = np.array([4, 3, 2, 3, 1, 5, 5])  # DCBCAEE
+    assert RLFMIndex.from_bwt(bwt_of(level1)).run_count == 7  # ECCBD$EA, one doubled C
+    assert RLFMIndex.from_bwt(bwt_of([1, 1, 1])).run_count == 2  # aaa$
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+def test_bwt_keeps_the_dtype_it_is_given(dtype):
+    b = bwt_of(np.array([4, 3, 2, 3, 1, 5, 5], dtype=dtype))
+    assert b.dtype == dtype
+    assert b.tolist() == [5, 3, 3, 2, 4, 0, 5, 1]  # ECCBD$EA

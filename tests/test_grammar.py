@@ -103,12 +103,12 @@ def test_suffix_symbols_running_example():
 def test_colex_ranks_running_example():
     g, _ = gm.build(to_codes(b"bacabacaacbcbc"), 4)
     # terminator 0, then aac=4, ab=2, ac=3, b=1, bc=5
-    assert g.colex_ranks().tolist() == [0, 4, 2, 3, 1, 5]
+    assert g.colex_rank.tolist() == [0, 4, 2, 3, 1, 5]
 
 
 def test_colex_identity_for_unit_chunks():
     g, _ = gm.build(to_codes(b"bacabacaacbcbc"), 1)
-    assert g.colex_ranks().tolist() == [0, 1, 2, 3]
+    assert g.colex_rank.tolist() == [0, 1, 2, 3]
 
 
 def test_colex_matches_reversal_sort():

@@ -206,6 +206,80 @@ def test_fields_beyond_32_bits_round_trip_at_width_8(n):
         load_index(reseal(blob.replace(struct.pack("<Q", n), struct.pack("<Q", 2**63 + n))))
 
 
+@pytest.fixture(scope="module")
+def wide_rules_index():
+    """A lambda=4 index, with its baseline, of a random text that has more
+    than 255 rules, so its level-1 heads need two bytes."""
+    rng = random.Random(13)
+    idx = build_index(bytes(rng.randint(97, 112) for _ in range(4000)), 4, with_baseline=True)
+    assert idx.grammar.size > 255
+    return idx
+
+
+def test_build_hands_rlfm_narrow_heads(running_example_index, wide_rules_index):
+    for idx in (running_example_index, wide_rules_index):
+        assert idx.rlfm1.run_heads.dtype == np.min_scalar_type(idx.grammar.size)
+        assert idx.rlfm0.run_heads.dtype == np.min_scalar_type(idx.alphabet.size)
+
+
+def test_loaded_columns_keep_their_stored_widths(wide_rules_index):
+    loaded = load_index(save_index(wide_rules_index))
+    assert loaded.rlfm1.run_heads.dtype == np.uint16
+    rlfm1, rlfm0, trie = loaded.rlfm1, loaded.rlfm0, loaded.trie
+    for column in (
+        rlfm1.run_heads, rlfm1.run_lengths, rlfm0.run_heads, rlfm0.run_lengths,
+        np.asarray(trie.child_counts), np.asarray(trie.edges), np.asarray(trie.counts),
+    ):
+        assert column.dtype == np.min_scalar_type(int(column.max()))
+        assert not column.flags.writeable  # a view of the file's bytes, not a copy
+
+
+def _sections_of(blob: bytes) -> dict[str, bytes]:
+    sizes = section_sizes(load_index(blob))
+    del sizes["total"]
+    out, at = {}, 0
+    for name, size in sizes.items():
+        out[name] = blob[at : at + size]
+        at += size
+    return out
+
+
+def _at_width_8(section: bytes, widen: set[int]) -> bytes:
+    """A run or trie section with the columns numbered in ``widen`` re-encoded
+    at 8 bytes per value; the values stay the same."""
+    (rows,) = struct.unpack_from("<I", section)
+    out, at = [section[:4]], 4
+    while at < len(section):
+        end = at + 1 + rows * section[at]  # the width byte, then the values
+        column = section[at:end]
+        if len(out) - 1 in widen:
+            values = np.frombuffer(column, dtype="<u%d" % column[0], offset=1)
+            column = b"\x08" + values.astype("<u8").tobytes()
+        out.append(column)
+        at = end
+    return b"".join(out)
+
+
+def test_columns_re_encoded_at_width_8_load_and_count_alike(fuzz_blob):
+    """Trie child counts and edges and level-1 heads at width 8, which
+    ``save_index`` never writes for such small values, load as int64 and
+    count exactly like the canonical file."""
+    text, blob = fuzz_blob
+    sections = _sections_of(blob)
+    sections["level1_bwt"] = _at_width_8(sections["level1_bwt"], {0})
+    sections["short_trie"] = _at_width_8(sections["short_trie"], {0, 1})
+    wide = reseal(b"".join(sections.values()))
+    assert len(wide) > len(blob)
+    canonical, loaded = load_index(blob), load_index(wide)
+    assert loaded.rlfm1.run_heads.dtype == np.int64
+    assert np.asarray(loaded.trie.edges).dtype == np.int64
+    assert save_index(loaded) == blob
+    patterns = sorted(_substrings(text, 12)) + [b"abcabc", b"ccc", b"d", b"aaaaaaaa"]
+    for pattern in patterns:
+        assert loaded.count(pattern) == canonical.count(pattern)
+        assert loaded.count_baseline(pattern) == canonical.count_baseline(pattern)
+
+
 def _substrings(text: bytes, longest: int) -> set[bytes]:
     return {text[i : i + m] for m in range(1, longest + 1) for i in range(len(text) - m + 1)}
 
