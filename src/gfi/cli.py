@@ -117,8 +117,8 @@ def _cmd_stats(args) -> int:
     print("sigma,%d" % idx.alphabet.size)
     print("sigma1,%d" % idx.grammar.size)
     print("r1,%d" % idx.rlfm1.run_count)
-    if idx.rlfm0 is not None:
-        print("r0,%d" % idx.rlfm0.run_count)
+    if idx.baseline_runs is not None:  # read as stored; rlfm0 would build its rank layout
+        print("r0,%d" % len(idx.baseline_runs[0]))
     for name, size in sizes.items():
         print("bytes_%s,%d" % (name, size))
     return 0

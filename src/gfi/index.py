@@ -3,9 +3,11 @@
 The serialized file stores only primary data: the alphabet map, the rule
 strings in lexicographic order, the run-length compressed BWT of the
 rewritten text, the short-pattern trie nodes, and optionally the baseline
-BWT runs.  Rank structures, the reversed rules with their colex order and
-ranks, and the trie's child slices are rebuilt on load, so serialize ->
-load -> serialize is byte-identical.
+BWT runs.  The level-1 rank structures, the reversed rules with their
+colex order and ranks, and the trie's child slices are rebuilt on load,
+so serialize -> load -> serialize is byte-identical.  Counting never
+reads the baseline, so its runs are only checked at load and its rank
+layout is built on its first query.
 
 All multi-byte integers are little-endian.  The rules are one byte string
 in which each rule ends with a 0 byte, a code no text uses, so one
@@ -25,6 +27,7 @@ import operator
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,14 +46,25 @@ MAX_LAMBDA = 255  # the header stores the chunk size in one byte
 
 @dataclass
 class TextIndex:
-    """Everything needed to answer count queries, plus build statistics."""
+    """Everything needed to answer count queries, plus build statistics.
+
+    ``baseline_runs`` are the (heads, lengths) of the raw text's BWT runs,
+    or None for an index built without the baseline.
+    """
 
     alphabet: DenseAlphabet
     lam: int
     grammar: grammar_mod.Grammar
     rlfm1: RLFMIndex
     trie: ShortPatternTrie
-    rlfm0: RLFMIndex | None = None
+    baseline_runs: tuple[np.ndarray, np.ndarray] | None = None
+
+    @cached_property
+    def rlfm0(self) -> RLFMIndex | None:
+        """The baseline FM index over ``baseline_runs``, built on first use."""
+        if self.baseline_runs is None:
+            return None
+        return RLFMIndex(*self.baseline_runs)
 
     @property
     def n(self) -> int:
@@ -80,12 +94,12 @@ def build_index(data: bytes, lam: int, with_baseline: bool = False) -> TextIndex
     rlfm1 = RLFMIndex.from_bwt(bwt_mod.bwt_of(level1))
     text = np.frombuffer(codes, dtype=np.uint8)  # sorted as is; the trie widens it
     trie = ShortPatternTrie.build(text, lam)
-    rlfm0 = None
+    index = TextIndex(alphabet=alphabet, lam=lam, grammar=gram, rlfm1=rlfm1, trie=trie)
     if with_baseline:
         rlfm0 = RLFMIndex.from_bwt(bwt_mod.bwt_of(text))
-    return TextIndex(
-        alphabet=alphabet, lam=lam, grammar=gram, rlfm1=rlfm1, trie=trie, rlfm0=rlfm0
-    )
+        index.baseline_runs = rlfm0.run_heads, rlfm0.run_lengths
+        index.rlfm0 = rlfm0  # fills the cached property
+    return index
 
 
 def _columns(*columns) -> bytes:
@@ -132,17 +146,21 @@ def _read_columns(buf: io.BytesIO, count: int) -> list[np.ndarray]:
     return columns
 
 
-def _read_runs(buf: io.BytesIO, top: int, what: str, symbols: str) -> RLFMIndex:
-    """A run-length BWT over symbols 0..top in which every symbol occurs."""
+def _read_runs(buf: io.BytesIO, top: int, what: str, symbols: str) -> tuple[np.ndarray, ...]:
+    """The (heads, lengths) of a run-length BWT over symbols 0..top in which
+    every symbol occurs, checked so that ``RLFMIndex`` takes them as they are:
+    no run is empty, no two adjacent runs share a head, and symbol 0 (the
+    terminator) is one run of length 1."""
     heads, lengths = _read_columns(buf, 2)
     if (heads.max() if len(heads) else -1) != top:
         raise ValueError("%s BWT symbols do not match the %d %s" % (what, top, symbols))
-    if len(lengths) and lengths.min() == 0:
+    if lengths.min() == 0:
         raise ValueError("%s BWT has a run of length 0" % what)
-    rlfm = RLFMIndex(run_heads=heads, run_lengths=lengths)
-    if rlfm.C[1] != 1:  # the runs of symbol 0 are one run of length 1
+    if np.any(heads[1:] == heads[:-1]):
+        raise ValueError("%s BWT has two adjacent runs of one symbol" % what)
+    if lengths[heads == 0].tolist() != [1]:
         raise ValueError("%s BWT must hold exactly one terminator" % what)
-    return rlfm
+    return heads, lengths
 
 
 def _sections(index: TextIndex) -> list[tuple[str, bytes]]:
@@ -150,8 +168,8 @@ def _sections(index: TextIndex) -> list[tuple[str, bytes]]:
     rules = b"".join(s + b"\0" for s in index.grammar.rhs)
     trie = index.trie
     baseline = b"\x00"
-    if index.rlfm0 is not None:
-        baseline = b"\x01" + _columns(index.rlfm0.run_heads, index.rlfm0.run_lengths)
+    if index.baseline_runs is not None:
+        baseline = b"\x01" + _columns(*index.baseline_runs)
     sections = [
         ("header", MAGIC + struct.pack("<BB", VERSION, index.lam)),
         ("alphabet", struct.pack("<I", index.alphabet.size) + index.alphabet.code_to_byte),
@@ -201,18 +219,18 @@ def _read_index(data: bytes) -> TextIndex:
         raise ValueError("rules must be sorted and distinct")
     gram = grammar_mod.Grammar(lam=lam, sigma=sigma, rhs=rhs)
 
-    rlfm1 = _read_runs(buf, len(rhs), "level-1", "rules")
+    rlfm1 = RLFMIndex(*_read_runs(buf, len(rhs), "level-1", "rules"))
     trie = ShortPatternTrie(*_read_columns(buf, 3))
     (has_baseline,) = _unpack(buf, "<B")
     if has_baseline > 1:
         raise ValueError("baseline flag %d is not 0 or 1" % has_baseline)
-    rlfm0 = _read_runs(buf, sigma, "baseline", "alphabet codes") if has_baseline else None
+    baseline = _read_runs(buf, sigma, "baseline", "alphabet codes") if has_baseline else None
     (checksum,) = _unpack(buf, "<I")
     if buf.tell() != len(data):
         raise ValueError("%d trailing bytes after the checksum" % (len(data) - buf.tell()))
 
     index = TextIndex(
-        alphabet=alphabet, lam=lam, grammar=gram, rlfm1=rlfm1, trie=trie, rlfm0=rlfm0
+        alphabet=alphabet, lam=lam, grammar=gram, rlfm1=rlfm1, trie=trie, baseline_runs=baseline
     )
     n = int(np.diff(rlfm1.C)[1:] @ lengths)  # index.n, from the lengths at hand
     # The trie holds every substring shorter than lam, so its depth pins lam
@@ -226,7 +244,7 @@ def _read_index(data: bytes) -> TextIndex:
     # baseline's length give it again.
     if lam > 1 and sum(trie.counts[: trie.kids[1]]) != n:
         raise ValueError("the level-1 runs and the trie disagree on the text length")
-    if rlfm0 is not None and rlfm0.total_length != n + 1:
+    if baseline is not None and baseline[1].sum(dtype=np.int64) != n + 1:
         raise ValueError("the level-1 runs and the baseline disagree on the text length")
     if zlib.crc32(memoryview(data)[:-4]) != checksum:
         raise ValueError("checksum mismatch")

@@ -52,8 +52,10 @@ class RankStats:
 class RLFMIndex:
     """FM index over a run-length compressed BWT.
 
-    Queries are read-only after construction; the instrumentation counters
-    are plain integers and only meaningful for single-threaded runs.
+    No two adjacent runs may share a head: ``from_bwt`` makes none, and
+    ``load_index`` rejects a file that has any.  Queries are read-only
+    after construction; the instrumentation counters are plain integers
+    and only meaningful for single-threaded runs.
     """
 
     def __init__(self, run_heads, run_lengths):
@@ -64,8 +66,6 @@ class RLFMIndex:
         self.run_heads = np.asarray(run_heads)
         self.run_lengths = np.asarray(run_lengths)
         self.alphabet_size = int(self.run_heads.max()) + 1 if len(self.run_heads) else 1
-        if np.any(self.run_heads[1:] == self.run_heads[:-1]):
-            raise ValueError("adjacent runs must differ")
         # 1-based start position of each run
         starts = np.ones(len(self.run_heads), dtype=np.int64)
         np.cumsum(self.run_lengths[:-1], dtype=np.int64, out=starts[1:])

@@ -5,6 +5,7 @@ import pytest
 
 from gfi.index import build_index, load_index, section_sizes
 from gfi.oracle import gen_artificial
+from gfi.rlfm import RLFMIndex
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +21,20 @@ def artificial_text():
 @pytest.fixture(scope="session")
 def artificial_index(artificial_text):
     return build_index(artificial_text, 4, with_baseline=True)
+
+
+@pytest.fixture
+def rlfm_inits(monkeypatch):
+    """Every RLFMIndex constructed during the test, in order."""
+    inits = []
+    init = RLFMIndex.__init__
+
+    def counted_init(self, *args, **kwargs):
+        inits.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RLFMIndex, "__init__", counted_init)
+    return inits
 
 
 def to_codes(s: bytes) -> bytes:

@@ -266,3 +266,45 @@ def test_count_matches_library(tmp_path, capsys):
         naive_count(t, np.frombuffer(p, dtype=np.uint8).astype(np.int64)) for p in pats
     ]
     assert got == want
+
+
+STATS = """key,value
+lambda,4
+n,14
+sigma,3
+sigma1,5
+r1,7
+r0,9
+bytes_header,6
+bytes_alphabet,7
+bytes_grammar,19
+bytes_level1_bwt,20
+bytes_short_trie,64
+bytes_baseline,%d
+bytes_checksum,4
+bytes_total,%d
+"""
+
+
+@pytest.mark.parametrize("baseline", [True, False], ids=["baseline", "no_baseline"])
+def test_stats_lines_and_no_baseline_build(tmp_path, capsys, rlfm_inits, baseline):
+    """``gfi stats`` prints these lines, with r0 only for an index built with
+    --baseline, which it reads from the stored runs: it builds no RLFMIndex
+    beyond the level-1 one that loading builds, and neither does ``gfi count``."""
+    text_file = tmp_path / "t.txt"
+    text_file.write_bytes(b"bacabacaacbcbc")
+    idx_file = tmp_path / "t.gfi"
+    flags = ["--baseline"] if baseline else []
+    run(capsys, "build", "-i", str(text_file), "-o", str(idx_file), "--lambda", "4", *flags)
+    rlfm_inits.clear()  # the build's own
+    pat_file = tmp_path / "p.txt"
+    pat_file.write_bytes(b"cabaca\nca\n")
+    status, out, _ = run(capsys, "stats", "-x", str(idx_file))
+    assert status == 0 and len(rlfm_inits) == 1
+    want = STATS % ((25, 145) if baseline else (1, 121))
+    if not baseline:
+        want = want.replace("r0,9\n", "")
+    assert out == want
+    status, out, _ = run(capsys, "count", "-x", str(idx_file), "-p", str(pat_file))
+    assert status == 0 and out.splitlines() == ["1", "2"]
+    assert len(rlfm_inits) == 2  # one more load

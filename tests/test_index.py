@@ -334,3 +334,69 @@ def test_fuzz_byte_flips_with_resealed_checksum_never_crash(fuzz_blob):
             assert isinstance(idx.count(pattern), int)
             assert isinstance(idx.count_baseline(pattern), int)
     assert 0 < loaded < 300  # some flips reach the query code, some are rejected
+
+
+def _patch_baseline(blob: bytes, edit) -> bytes:
+    """The index file with its baseline runs changed by ``edit(heads,
+    lengths)``, which edits both in place, at their one-byte widths; resealed."""
+    sections = _sections_of(blob)
+    section = sections["baseline"]
+    (rows,) = struct.unpack_from("<I", section, 1)  # after the baseline flag
+    heads_at, lengths_at = 6, 7 + rows  # each after its column's width byte
+    assert section[heads_at - 1] == section[lengths_at - 1] == 1
+    heads = np.frombuffer(section, dtype=np.uint8, count=rows, offset=heads_at).copy()
+    lengths = np.frombuffer(section, dtype=np.uint8, count=rows, offset=lengths_at).copy()
+    edit(heads, lengths)
+    sections["baseline"] = b"".join(
+        [section[:heads_at], heads.tobytes(), b"\x01", lengths.tobytes()]
+    )
+    return reseal(b"".join(sections.values()))
+
+
+def _set(column: str, *changes):
+    """An edit for ``_patch_baseline`` that sets entries of one column."""
+
+    def edit(heads, lengths):
+        target = heads if column == "heads" else lengths
+        for at, value in changes:
+            target[at] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (_set("heads", (2, 2)), "adjacent runs of one symbol"),
+        (_set("heads", (8, 0)), "exactly one terminator"),
+        (_set("lengths", (4, 2), (0, 10)), "exactly one terminator"),
+        (_set("lengths", (6, 0), (5, 11)), "run of length 0"),
+        (_set("lengths", (0, 12)), "disagree on the text length"),
+    ],
+    ids=["adjacent_equal", "two_terminators", "long_terminator", "zero_length", "length_mismatch"],
+)
+def test_rejects_corrupt_baseline_runs(fuzz_blob, edit, reason):
+    """The baseline's rank layout is built on its first query, so its runs
+    are checked at load: each damage is rejected by ``load_index`` itself.
+    All but the last keep the runs' total length."""
+    _, blob = fuzz_blob
+    heads, lengths = load_index(blob).baseline_runs
+    assert heads.tolist() == [3, 2, 1, 3, 0, 3, 2, 1, 2, 1]
+    assert lengths.tolist() == [11, 10, 10, 4, 1, 10, 1, 10, 9, 5]
+    with pytest.raises(CorruptIndexError, match=reason):
+        load_index(_patch_baseline(blob, edit))
+
+
+def test_baseline_rlfm_is_built_on_first_baseline_query(fuzz_blob, rlfm_inits):
+    """Loading builds only the level-1 RLFMIndex; the first baseline count
+    builds the baseline's, and later counts and saves reuse it."""
+    text, blob = fuzz_blob
+    idx = load_index(blob)
+    assert rlfm_inits == [idx.rlfm1]
+    patterns = sorted(_substrings(text, 12))
+    assert idx.count_baseline(patterns[0]) == naive_count(text, patterns[0])
+    assert len(rlfm_inits) == 2 and rlfm_inits[1] is idx.rlfm0
+    for pattern in patterns:
+        assert idx.count_baseline(pattern) == naive_count(text, pattern)
+    assert save_index(idx) == blob
+    assert len(rlfm_inits) == 2
