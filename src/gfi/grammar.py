@@ -88,7 +88,9 @@ def build(codes: bytes, lam: int) -> tuple[Grammar, np.ndarray]:
     if lam < 1:
         raise InvalidParameterError("chunk size must be at least 1")
     chunks = lms.chunk(lms.factorize(codes, lms.classify(codes)), lam)
-    grammar = Grammar(lam=lam, sigma=max(codes, default=0), rhs=sorted(set(chunks)))
+    rhs = sorted(set(chunks))
+    # every code lies in some rule, and the rules are far shorter than the text
+    grammar = Grammar(lam=lam, sigma=max(b"".join(rhs), default=0), rhs=rhs)
     ids = grammar.rhs_id
     dtype = np.min_scalar_type(grammar.size)
     level1 = np.fromiter((ids[c] for c in chunks), dtype=dtype, count=len(chunks))

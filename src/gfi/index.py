@@ -149,13 +149,17 @@ def _read_columns(buf: io.BytesIO, count: int) -> list[np.ndarray]:
 def _read_runs(buf: io.BytesIO, top: int, what: str, symbols: str) -> tuple[np.ndarray, ...]:
     """The (heads, lengths) of a run-length BWT over symbols 0..top in which
     every symbol occurs, checked so that ``RLFMIndex`` takes them as they are:
-    no run is empty, no two adjacent runs share a head, and symbol 0 (the
-    terminator) is one run of length 1."""
+    no run is empty, the lengths sum within int64, no two adjacent runs share
+    a head, and symbol 0 (the terminator) is one run of length 1."""
     heads, lengths = _read_columns(buf, 2)
     if (heads.max() if len(heads) else -1) != top:
         raise ValueError("%s BWT symbols do not match the %d %s" % (what, top, symbols))
     if lengths.min() == 0:
         raise ValueError("%s BWT has a run of length 0" % what)
+    # Fewer than 2**32 rows of at most 4 bytes cannot sum past int64, so only
+    # width-8 lengths are summed exactly; their int64 sum could wrap.
+    if lengths.itemsize == 8 and sum(lengths.tolist()) >> 63:
+        raise ValueError("%s BWT run lengths sum past int64" % what)
     if np.any(heads[1:] == heads[:-1]):
         raise ValueError("%s BWT has two adjacent runs of one symbol" % what)
     if lengths[heads == 0].tolist() != [1]:
@@ -232,7 +236,12 @@ def _read_index(data: bytes) -> TextIndex:
     index = TextIndex(
         alphabet=alphabet, lam=lam, grammar=gram, rlfm1=rlfm1, trie=trie, baseline_runs=baseline
     )
-    n = int(np.diff(rlfm1.C)[1:] @ lengths)  # index.n, from the lengths at hand
+    freqs = np.diff(rlfm1.C)[1:]  # per rule id; the terminator dropped
+    n = int(freqs @ lengths)  # index.n, from the lengths at hand
+    if rlfm1.total_length * lam >> 63:  # only then can that int64 sum wrap
+        n = sum(map(operator.mul, freqs.tolist(), lengths.tolist()))
+        if n >> 63:
+            raise ValueError("the level-1 runs give a text length past int64")
     # The trie holds every substring shorter than lam, so its depth pins lam
     # for any text of at least lam - 1 characters.
     if trie.height != min(lam - 1, n):

@@ -10,6 +10,14 @@ symbol's runs: one binary search over the symbol's run starts finds its
 last run starting at or before the position; the total length of the
 symbol's runs before that one is one prefix-sum lookup, and the run adds
 its part up to the position, capped at its length (the next prefix sum).
+A backward step, and the per-symbol path of a suffix count, need the
+symbol's rank at both ends of a row range.  They search once, for the
+upper end, and read the lower end from the run found there whenever that
+run starts by the lower end, since every earlier run of the symbol ends
+before it; only otherwise do they search the earlier runs.  On repetitive
+text the run found for the upper end usually starts by the lower end, so
+most steps take one binary search; the counter still charges two rank
+calls per step.
 Queries read the arrays through memoryviews, so they index to plain ints
 and call ``bisect`` without any numpy dispatch.  The same structure
 serves the raw-text baseline index and the rewritten-text index.
@@ -123,37 +131,38 @@ class RLFMIndex:
     def backward_step(self, lo: int, hi: int, c: int) -> tuple[int, int]:
         """Extend the matched string one symbol to the left.
 
-        Two rank calls, inlined because this is the inner loop of every
-        search: the new range is C[c] + rank(c, i) at both ends, each one
-        bisect over c's run starts, and the upper end's slot is searched
-        from the lower end's.
+        The new range is C[c] + rank(c, i) at i = lo - 1 and i = hi: two
+        rank calls to the counter, inlined because this is the inner loop
+        of every search.  One bisect over c's run starts finds c's last run
+        starting by hi.  When that run also starts by lo, the same run gives
+        rank(c, lo - 1), as every earlier run of c ends before it starts;
+        only otherwise does a second bisect search the earlier runs.
         """
         if lo > hi or c < 0 or c >= self.alphabet_size:
             return 1, 0
         self.stats.step_calls += 1
         self.stats.rank_calls += 2
-        n = self.total_length
-        lo = lo - 1 if lo <= n else n  # rows before the range
-        if hi > n:
-            hi = n
+        if hi > self.total_length:
+            hi = self.total_length  # a lo past it then caps to an empty range below
         cstarts, mass = self.cstarts, self.mass
-        a, b = self.first[c], self.first[c + 1]
+        a = self.first[c]
+        j = bisect_right(cstarts, hi, a, self.first[c + 1]) - 1  # c's last run starting by hi
+        if j < a:
+            return mass[a] + 1, mass[a]
+        start, end = cstarts[j], mass[j + 1]
         # rank as in rank(), with its min() spelt out as a comparison,
         # which is cheaper than a builtin call in this loop
-        j = bisect_right(cstarts, lo, a, b)
-        if j > a:
-            new_lo = mass[j - 1] + lo - cstarts[j - 1] + 1
-            if new_lo > mass[j]:
-                new_lo = mass[j]
-        else:
-            new_lo = mass[a]
-        j = bisect_right(cstarts, hi, j, b)
-        if j > a:
-            new_hi = mass[j - 1] + hi - cstarts[j - 1] + 1
-            if new_hi > mass[j]:
-                new_hi = mass[j]
-        else:
-            new_hi = mass[a]
+        new_hi = mass[j] + hi - start + 1
+        if new_hi > end:
+            new_hi = end
+        if start > lo:  # row lo - 1 lies before run j: search c's earlier runs
+            j = bisect_right(cstarts, lo - 1, a, j) - 1
+            if j < a:
+                return mass[a] + 1, new_hi
+            start, end = cstarts[j], mass[j + 1]
+        new_lo = mass[j] + lo - start  # rank(c, lo - 1)
+        if new_lo > end:
+            new_lo = end
         return new_lo + 1, new_hi
 
     def count_symbols_in_range(self, lo: int, hi: int, ranks: range, rank_of, by_rank) -> int:
@@ -190,12 +199,20 @@ class RLFMIndex:
         cstarts, mass, first = self.cstarts, self.mass, self.first
         total = 0
         for c in by_rank[first_rank - 1 : end_rank - 1]:
-            a, b = first[c], first[c + 1]
-            j = bisect_right(cstarts, lo, a, b)
-            below = min(mass[j - 1] + lo - cstarts[j - 1] + 1, mass[j]) if j > a else mass[a]
-            j = bisect_right(cstarts, hi, j, b)
-            upto = min(mass[j - 1] + hi - cstarts[j - 1] + 1, mass[j]) if j > a else mass[a]
-            total += upto - below
+            # rank(c, hi) - rank(c, lo) with backward_step's shared search
+            a = first[c]
+            j = bisect_right(cstarts, hi, a, first[c + 1]) - 1
+            if j < a:
+                continue  # no run of c starts by hi
+            start = cstarts[j]
+            total += min(mass[j] + hi - start + 1, mass[j + 1])
+            if start > lo + 1:  # row lo lies before run j: search c's earlier runs
+                j = bisect_right(cstarts, lo, a, j) - 1
+                if j < a:
+                    total -= mass[a]
+                    continue
+                start = cstarts[j]
+            total -= min(mass[j] + lo - start + 1, mass[j + 1])
         return total
 
     def count_plain(self, codes) -> int:

@@ -44,6 +44,7 @@ def test_expansion_reproduces_text():
         g, level1 = gm.build(text, lam)
         out = b"".join(g.rhs[i - 1] for i in level1.tolist())
         assert out == text
+        assert g.sigma == max(text)  # read from the rules, not the text
         assert sum(len(s) for s in g.rhs) >= len(g.rhs)  # nonempty rules
         assert len(level1) <= n
 

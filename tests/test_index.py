@@ -206,6 +206,21 @@ def test_fields_beyond_32_bits_round_trip_at_width_8(n):
         load_index(reseal(blob.replace(struct.pack("<Q", n), struct.pack("<Q", 2**63 + n))))
 
 
+def test_rejects_level1_text_length_past_int64():
+    """One rule ``aaaa`` occurring 2**62 + 1 times: the run lengths sum
+    within int64, but the text length, 4 * (2**62 + 1), wraps to 4 in an
+    int64 dot product and would match a trie of ``aaaa``."""
+    wrapped = TextIndex(
+        alphabet=DenseAlphabet(b"a"),
+        lam=4,
+        grammar=Grammar(lam=4, sigma=1, rhs=[bytes([1]) * 4]),
+        rlfm1=RLFMIndex(run_heads=[1, 0], run_lengths=[2**62 + 1, 1]),
+        trie=ShortPatternTrie.build(np.ones(4, dtype=np.uint8), 4),
+    )
+    with pytest.raises(CorruptIndexError, match="text length past int64"):
+        load_index(save_index(wrapped))
+
+
 @pytest.fixture(scope="module")
 def wide_rules_index():
     """A lambda=4 index, with its baseline, of a random text that has more
@@ -385,6 +400,26 @@ def test_rejects_corrupt_baseline_runs(fuzz_blob, edit, reason):
     assert lengths.tolist() == [11, 10, 10, 4, 1, 10, 1, 10, 9, 5]
     with pytest.raises(CorruptIndexError, match=reason):
         load_index(_patch_baseline(blob, edit))
+
+
+def test_rejects_baseline_run_lengths_whose_sum_wraps(fuzz_blob):
+    """2**62 added to four baseline run lengths, stored at width 8, adds 2**64
+    to their sum: the int64 sum wraps back to the text length, and without
+    the overflow check the file loads and ``count_baseline(b"a")`` is 15, not
+    25."""
+    _, blob = fuzz_blob
+    heads, lengths = load_index(blob).baseline_runs
+    wrapped = lengths.astype(np.int64)
+    wrapped[[0, 1, 2, 5]] += 2**62  # none of them the terminator's run
+    assert wrapped.sum() == lengths.sum()
+    sections = _sections_of(blob)
+    sections["baseline"] = b"".join([
+        b"\x01", struct.pack("<I", len(heads)),
+        b"\x01", heads.astype(np.uint8).tobytes(),
+        b"\x08", wrapped.astype("<i8").tobytes(),
+    ])
+    with pytest.raises(CorruptIndexError, match="baseline BWT run lengths sum past int64"):
+        load_index(reseal(b"".join(sections.values())))
 
 
 def test_baseline_rlfm_is_built_on_first_baseline_query(fuzz_blob, rlfm_inits):

@@ -278,9 +278,16 @@ def boundary_texts(rng):
 
 
 def test_grouped_rank_at_run_boundaries():
-    """rank, backward_step and per-symbol suffix counts at every run's edges."""
+    """rank, backward_step and per-symbol suffix counts at every run's edges.
+
+    Both ranks of a range come from c's last run starting by hi when that
+    run starts by lo, and from a second search otherwise; the probes must
+    reach both cases on both paths.
+    """
     rng = random.Random(19)
     single_run_symbols = unit_runs = 0
+    same_run = {"step": 0, "count": 0}
+    earlier_run = {"step": 0, "count": 0}
     for s in boundary_texts(rng):
         bwt = bwt_of(np.array(s)).tolist()
         fm = RLFMIndex.from_bwt(bwt)
@@ -298,6 +305,21 @@ def test_grouped_rank_at_run_boundaries():
         def rank(c, i):
             return prefix[c][min(max(i, 0), n)] if 0 <= c < fm.alphabet_size else 0
 
+        def holds(c, i):
+            return i >= 1 and prefix[c][i] > prefix[c][i - 1]
+
+        # last_start[c][i]: the start of c's last run starting by row i, 0 if none
+        last_start = {
+            c: list(itertools.accumulate(
+                (i if holds(c, i) and not holds(c, i - 1) else 0 for i in range(n + 1)), max))
+            for c in range(fm.alphabet_size)
+        }
+
+        def tally(path, c, lo, hi):
+            start = last_start[c][min(hi, n)]
+            if start:
+                (same_run if start <= lo else earlier_run)[path] += 1
+
         for c in symbols:
             for i in probes:
                 assert fm.rank(c, i) == rank(c, i), (s, c, i)
@@ -308,6 +330,7 @@ def test_grouped_rank_at_run_boundaries():
                 for c in range(fm.alphabet_size):
                     want = (below[c] + rank(c, p) + 1, below[c] + rank(c, hi))
                     assert fm.backward_step(p + 1, hi, c) == want, (s, c, p + 1, hi)
+                    tally("step", c, p + 1, hi)
                 span = spanned_runs(fm.run_lengths.tolist(), p + 1, hi)
                 for width in (1, 2):
                     if span <= 2 * width:
@@ -318,6 +341,8 @@ def test_grouped_rank_at_run_boundaries():
                     got = fm.count_symbols_in_range(p + 1, hi, range(a, a + width), *ranking)
                     assert fm.stats.rank_calls == calls + 2 * width
                     assert got == sum(rank(c, hi) - rank(c, p) for c in chosen), (s, p + 1, hi, chosen)
+                    for c in chosen:
+                        tally("count", c, p + 1, hi)
         for _ in range(10):
             i = rng.randint(0, len(s) - 1)
             pattern = s[i : i + rng.randint(1, 8)]
@@ -327,3 +352,5 @@ def test_grouped_rank_at_run_boundaries():
             assert fm.stats.rank_calls == 2 * len(pattern)
             assert fm.stats.step_calls == len(pattern)
     assert single_run_symbols >= 40 and unit_runs >= 500
+    assert same_run["step"] >= 20000 and earlier_run["step"] >= 50000
+    assert same_run["count"] >= 1500 and earlier_run["count"] >= 5000
