@@ -29,7 +29,7 @@ def _cmd_build(args) -> int:
             idx.n,
             idx.alphabet.size,
             idx.grammar.size,
-            idx.rlfm0.run_count if idx.rlfm0 else "",
+            len(idx.baseline_runs[0]) if idx.baseline_runs is not None else "",
             idx.rlfm1.run_count,
             sizes["total"],
         )
@@ -112,7 +112,7 @@ def _cmd_stats(args) -> int:
     idx = index_mod.load_index_file(args.index)
     sizes = index_mod.section_sizes(idx)
     print("key,value")
-    print("lambda,%d" % idx.lam)
+    print("lambda,%d" % idx.grammar.lam)
     print("n,%d" % idx.n)
     print("sigma,%d" % idx.alphabet.size)
     print("sigma1,%d" % idx.grammar.size)

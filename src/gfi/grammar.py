@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gfi.errors import InvalidParameterError
 from gfi import lms
 
 
@@ -35,7 +34,6 @@ class Grammar:
     """Dictionary of distinct chunks with lex ids and colex order."""
 
     lam: int
-    sigma: int
     rhs: list[bytes]  # lex sorted; index i holds the rule for id i+1
     rhs_id: dict[bytes, int] = field(init=False, repr=False)
     reversed_rhs: list[bytes] = field(init=False, repr=False)  # sorted, i.e. colex order
@@ -71,12 +69,6 @@ class Grammar:
         lo, hi = _starting_with(self.reversed_rhs, q[::-1], self.lam)
         return range(lo + 1, hi + 1)
 
-    def expansion_lengths(self) -> np.ndarray:
-        """Rule lengths indexed by lex id (entry 0 is the terminator, length 0)."""
-        out = np.zeros(len(self.rhs) + 1, dtype=np.int64)
-        out[1:] = [len(s) for s in self.rhs]
-        return out
-
 
 def build(codes: bytes, lam: int) -> tuple[Grammar, np.ndarray]:
     """Build the dictionary over the code string's chunks and rewrite it.
@@ -85,12 +77,9 @@ def build(codes: bytes, lam: int) -> tuple[Grammar, np.ndarray]:
     the narrowest unsigned dtype that holds every id); expanding the ids
     through the rules reproduces the codes.
     """
-    if lam < 1:
-        raise InvalidParameterError("chunk size must be at least 1")
     chunks = lms.chunk(lms.factorize(codes, lms.classify(codes)), lam)
     rhs = sorted(set(chunks))
-    # every code lies in some rule, and the rules are far shorter than the text
-    grammar = Grammar(lam=lam, sigma=max(b"".join(rhs), default=0), rhs=rhs)
+    grammar = Grammar(lam=lam, rhs=rhs)
     ids = grammar.rhs_id
     dtype = np.min_scalar_type(grammar.size)
     level1 = np.fromiter((ids[c] for c in chunks), dtype=dtype, count=len(chunks))

@@ -48,15 +48,16 @@ MAX_LAMBDA = 255  # the header stores the chunk size in one byte
 class TextIndex:
     """Everything needed to answer count queries, plus build statistics.
 
-    ``baseline_runs`` are the (heads, lengths) of the raw text's BWT runs,
-    or None for an index built without the baseline.
+    ``n`` is the text length.  ``baseline_runs`` are the (heads, lengths)
+    of the raw text's BWT runs, or None for an index built without the
+    baseline.
     """
 
     alphabet: DenseAlphabet
-    lam: int
     grammar: grammar_mod.Grammar
     rlfm1: RLFMIndex
     trie: ShortPatternTrie
+    n: int
     baseline_runs: tuple[np.ndarray, np.ndarray] | None = None
 
     @cached_property
@@ -65,12 +66,6 @@ class TextIndex:
         if self.baseline_runs is None:
             return None
         return RLFMIndex(*self.baseline_runs)
-
-    @property
-    def n(self) -> int:
-        """Text length, recovered from symbol frequencies and rule lengths."""
-        counts = np.diff(self.rlfm1.C)[1:]  # per rule id; the terminator dropped
-        return int(counts @ self.grammar.expansion_lengths()[1 : len(counts) + 1])
 
     def count(self, pattern: bytes, trace=None) -> int:
         return query.count(self, pattern, trace)
@@ -94,7 +89,7 @@ def build_index(data: bytes, lam: int, with_baseline: bool = False) -> TextIndex
     rlfm1 = RLFMIndex.from_bwt(bwt_mod.bwt_of(level1))
     text = np.frombuffer(codes, dtype=np.uint8)  # sorted as is; the trie widens it
     trie = ShortPatternTrie.build(text, lam)
-    index = TextIndex(alphabet=alphabet, lam=lam, grammar=gram, rlfm1=rlfm1, trie=trie)
+    index = TextIndex(alphabet=alphabet, grammar=gram, rlfm1=rlfm1, trie=trie, n=len(codes))
     if with_baseline:
         rlfm0 = RLFMIndex.from_bwt(bwt_mod.bwt_of(text))
         index.baseline_runs = rlfm0.run_heads, rlfm0.run_lengths
@@ -175,7 +170,7 @@ def _sections(index: TextIndex) -> list[tuple[str, bytes]]:
     if index.baseline_runs is not None:
         baseline = b"\x01" + _columns(*index.baseline_runs)
     sections = [
-        ("header", MAGIC + struct.pack("<BB", VERSION, index.lam)),
+        ("header", MAGIC + struct.pack("<BB", VERSION, index.grammar.lam)),
         ("alphabet", struct.pack("<I", index.alphabet.size) + index.alphabet.code_to_byte),
         ("grammar", struct.pack("<I", len(rules)) + rules),
         ("level1_bwt", _columns(index.rlfm1.run_heads, index.rlfm1.run_lengths)),
@@ -221,7 +216,7 @@ def _read_index(data: bytes) -> TextIndex:
         raise ValueError("a rule holds a code above the alphabet size %d" % sigma)
     if not all(map(operator.lt, rhs, rhs[1:])):
         raise ValueError("rules must be sorted and distinct")
-    gram = grammar_mod.Grammar(lam=lam, sigma=sigma, rhs=rhs)
+    gram = grammar_mod.Grammar(lam=lam, rhs=rhs)
 
     rlfm1 = RLFMIndex(*_read_runs(buf, len(rhs), "level-1", "rules"))
     trie = ShortPatternTrie(*_read_columns(buf, 3))
@@ -233,11 +228,8 @@ def _read_index(data: bytes) -> TextIndex:
     if buf.tell() != len(data):
         raise ValueError("%d trailing bytes after the checksum" % (len(data) - buf.tell()))
 
-    index = TextIndex(
-        alphabet=alphabet, lam=lam, grammar=gram, rlfm1=rlfm1, trie=trie, baseline_runs=baseline
-    )
     freqs = np.diff(rlfm1.C)[1:]  # per rule id; the terminator dropped
-    n = int(freqs @ lengths)  # index.n, from the lengths at hand
+    n = int(freqs @ lengths)
     if rlfm1.total_length * lam >> 63:  # only then can that int64 sum wrap
         n = sum(map(operator.mul, freqs.tolist(), lengths.tolist()))
         if n >> 63:
@@ -257,7 +249,9 @@ def _read_index(data: bytes) -> TextIndex:
         raise ValueError("the level-1 runs and the baseline disagree on the text length")
     if zlib.crc32(memoryview(data)[:-4]) != checksum:
         raise ValueError("checksum mismatch")
-    return index
+    return TextIndex(
+        alphabet=alphabet, grammar=gram, rlfm1=rlfm1, trie=trie, n=n, baseline_runs=baseline
+    )
 
 
 def load_index(data: bytes) -> TextIndex:

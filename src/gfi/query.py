@@ -275,7 +275,7 @@ def count(index, pattern: bytes, trace: QueryTrace | None = None) -> int:
     codes = index.alphabet.encode(pattern)
     if codes is None:
         return 0
-    if len(codes) < index.lam:
+    if len(codes) < index.grammar.lam:
         return index.trie.count(codes)
     plan = plan_branches(codes, index.grammar)
     return execute_plan(index.rlfm1, index.grammar, plan, trace)

@@ -148,7 +148,7 @@ def build_xbwt(grammar: Grammar) -> XbwtTrie:
             first_syms.append(fs)
         last[-1] = 1
 
-    sigma = grammar.sigma
+    sigma = max(b"".join(grammar.rhs), default=0)
     fs_arr = np.array(first_syms, dtype=np.int64)
     C = np.zeros(sigma + 2, dtype=np.int64)
     for c in range(sigma + 1):

@@ -37,6 +37,10 @@ def rlfm_inits(monkeypatch):
     return inits
 
 
+# Chunk sizes past the 1..8 of the acceptance suite, up to the format's 255.
+LARGE_LAMBDAS = (9, 16, 31, 64, 255)
+
+
 def to_codes(s: bytes) -> bytes:
     """Letters a.. to code bytes 1.. for hand-written test inputs."""
     return bytes(c - 96 for c in s)

@@ -166,7 +166,7 @@ def test_criterion_09_step_counts(artificial_text, artificial_index):
     for pat in patterns:
         pb = pat.tobytes()
         factors = pattern_factors(idx.alphabet.encode(pb))
-        expected = sum(len(chunk_string(f, idx.lam)) for f in factors[1:-1])
+        expected = sum(len(chunk_string(f, idx.grammar.lam)) for f in factors[1:-1])
         trace = QueryTrace()
         idx.rlfm1.stats.reset()
         assert count(idx, pb, trace) >= 1

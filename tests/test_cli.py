@@ -4,7 +4,7 @@ import pytest
 from conftest import corrupt_trie_rows
 from gfi.cli import main
 from gfi.grammar import Grammar
-from gfi.index import build_index, save_index
+from gfi.index import build_index, save_index, save_index_file
 from gfi.oracle import naive_count
 
 
@@ -118,6 +118,21 @@ def test_bench_deterministic_patterns(tmp_path, capsys):
     assert calls1 == calls2
 
 
+def test_bench_stops_at_a_length_beyond_the_text(tmp_path, capsys):
+    """A text file's trailing NUL is not text: 15 characters and a NUL hold
+    patterns of length 2^3 but not 2^4."""
+    text = b"bacabacaacbcbca"
+    corpus = tmp_path / "c.txt"
+    corpus.write_bytes(text + b"\x00")
+    idx_file = tmp_path / "c.gfi"
+    save_index_file(build_index(text, 3), str(idx_file))
+    status, out, err = run(capsys, "bench", "-x", str(idx_file), "--text", str(corpus),
+                           "--lengths", "3..4", "--samples", "4")
+    assert status == 1
+    assert [row.split(",")[0] for row in out.strip().splitlines()[1:]] == ["8"]
+    assert err == "length 2^4 exceeds the text\n"
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_bench_rejects_samples_below_one(tmp_path, capsys, monkeypatch, samples):
     def no_loading(*args):
@@ -202,7 +217,7 @@ def test_count_rejects_damaged_index(tmp_path, capsys, damage):
     idx = build_index(text, 4, with_baseline=True)
     if damage == "swapped_rules":
         rhs = idx.grammar.rhs
-        idx.grammar = Grammar(lam=4, sigma=3, rhs=[rhs[0], rhs[2], rhs[1]] + rhs[3:])
+        idx.grammar = Grammar(lam=4, rhs=[rhs[0], rhs[2], rhs[1]] + rhs[3:])
     blob = bytearray(save_index(idx))
     if damage == "flipped_byte":
         blob[len(blob) // 2] ^= 0xFF

@@ -8,6 +8,7 @@ Every count and baseline count must equal the brute-force scan.
 
 import random
 
+from conftest import LARGE_LAMBDAS
 from gfi.index import build_index
 from gfi.oracle import naive_count
 
@@ -27,11 +28,11 @@ def degenerate_texts(rng):
     yield from (FULL, FULL[::-1], shuffled, FULL * 3, shuffled * 2)
 
 
-def patterns(text, rng, count):
+def patterns(text, rng, count, longest=16):
     """Substrings of the text, some extended or with a changed last byte."""
     out = []
     for _ in range(count):
-        m = rng.randint(1, min(len(text), 16))
+        m = rng.randint(1, min(len(text), longest))
         i = rng.randint(0, len(text) - m)
         pat = text[i : i + m]
         r = rng.random()
@@ -44,16 +45,21 @@ def patterns(text, rng, count):
 
 
 def test_degenerate_texts_match_oracle():
+    """Chunk sizes 1..6 and past 8; from lam = 9 on, patterns run up to
+    twice the chunk size, so texts longer than lam get patterns on both
+    sides of it."""
     rng = random.Random(31)
-    checks, mismatches = 0, []
+    checks, longer, mismatches = 0, 0, []
     for text in degenerate_texts(rng):
-        for lam in range(1, 7):
+        for lam in (*range(1, 7), *LARGE_LAMBDAS):
             idx = build_index(text, lam, with_baseline=True)
-            for pat in patterns(text, rng, 25):
+            for pat in patterns(text, rng, 25, longest=max(16, 2 * lam)):
                 want = naive_count(text, pat)
                 got = (idx.count(pat), idx.count_baseline(pat))
                 if got != (want, want):
                     mismatches.append((text, lam, pat, got, want))
                 checks += 1
+                longer += lam in LARGE_LAMBDAS and len(pat) >= lam
     assert mismatches == []
-    assert checks >= 6000
+    assert checks >= 13000
+    assert longer >= 900

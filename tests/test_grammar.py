@@ -6,6 +6,7 @@ import pytest
 
 from conftest import to_codes
 from gfi import grammar as gm
+from gfi.errors import InvalidParameterError
 from gfi.index import build_index
 from gfi.oracle import naive_count
 
@@ -34,6 +35,12 @@ def test_build_lam1_is_identity():
     assert level1.tolist() == list(text)
 
 
+def test_build_rejects_chunk_size_0():
+    """The check is ``lms.chunk``'s; the grammar builder has none of its own."""
+    with pytest.raises(InvalidParameterError, match="at least 1"):
+        gm.build(to_codes(b"bacabacaacbcbc"), 0)
+
+
 def test_expansion_reproduces_text():
     rng = random.Random(8)
     for _ in range(120):
@@ -44,7 +51,6 @@ def test_expansion_reproduces_text():
         g, level1 = gm.build(text, lam)
         out = b"".join(g.rhs[i - 1] for i in level1.tolist())
         assert out == text
-        assert g.sigma == max(text)  # read from the rules, not the text
         assert sum(len(s) for s in g.rhs) >= len(g.rhs)  # nonempty rules
         assert len(level1) <= n
 
@@ -136,7 +142,7 @@ def _dictionaries(rng):
     rules = [b"\x01", b"\x01\xfe", b"\x01\xff", b"\x01\xff\xff", b"\xfe", b"\xfe\xff\x01",
              b"\xfe\xff\xff", b"\xff", b"\xff\x01", b"\xff\xfe\xff", b"\xff\xff",
              b"\xff\xff\x01", b"\xff\xff\xff"]
-    yield gm.Grammar(lam=3, sigma=255, rhs=sorted(rules)), (1, 254, 255)
+    yield gm.Grammar(lam=3, rhs=sorted(rules)), (1, 254, 255)
 
 
 def test_dictionary_queries_match_brute_force_exhaustively():

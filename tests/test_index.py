@@ -27,7 +27,7 @@ def test_round_trip_running_example():
     assert blob[:4] == b"GFI1"
     loaded = load_index(blob)
     assert save_index(loaded) == blob
-    assert loaded.lam == 4
+    assert loaded.grammar.lam == 4
     assert loaded.grammar.rhs == idx.grammar.rhs
     assert loaded.rlfm0 is not None
     assert count(loaded, b"cabaca") == 1
@@ -52,6 +52,7 @@ def test_round_trip_random_instances():
         blob = save_index(idx)
         loaded = load_index(blob)
         assert save_index(loaded) == blob
+        assert idx.n == loaded.n == n  # build takes n from the text, load from the runs
         t = np.frombuffer(raw, dtype=np.uint8).astype(np.int64) - 96
         for _ in range(10):
             m = rng.randint(1, 16)
@@ -65,10 +66,9 @@ def test_round_trip_random_instances():
 
 
 def test_recovered_text_length():
-    idx = build_index(b"bacabacaacbcbc", 4)
-    assert idx.n == 14
-    idx2 = build_index(b"x" * 257, 5)
-    assert idx2.n == 257
+    for text, lam in ((b"bacabacaacbcbc", 4), (b"x" * 257, 5)):
+        idx = build_index(text, lam)
+        assert idx.n == load_index(save_index(idx)).n == len(text)
 
 
 def test_section_sizes_sum_to_blob_length():
@@ -101,7 +101,7 @@ def test_rejects_bad_lambda():
 
 def test_lambda_limited_to_one_header_byte():
     idx = build_index(b"abracadabra", 255)
-    assert load_index(save_index(idx)).lam == 255
+    assert load_index(save_index(idx)).grammar.lam == 255
     with pytest.raises(InvalidParameterError):
         build_index(b"abracadabra", 256)
 
@@ -158,7 +158,7 @@ def test_rejects_rules_not_matching_level1_symbols(unused):
     """Suffix counts index per-symbol arrays by rule id, so both must agree."""
     idx = build_index(b"bacabacaacbcbc", 4)
     rhs = idx.grammar.rhs + [bytes([3] * 4)] if unused else idx.grammar.rhs[:-1]
-    idx.grammar = Grammar(lam=4, sigma=3, rhs=rhs)
+    idx.grammar = Grammar(lam=4, rhs=rhs)
     with pytest.raises(CorruptIndexError, match="rules"):
         load_index(save_index(idx))
 
@@ -179,7 +179,7 @@ def test_rejects_malformed_rules(damage, reason):
     used to load and then miscount."""
     idx = build_index(b"bacabacaacbcbc" * 5, 4, with_baseline=True)
     assert idx.grammar.rhs[1:3] == [bytes([1, 2]), bytes([1, 3])]  # ab, ac
-    idx.grammar = Grammar(lam=4, sigma=3, rhs=damage(idx.grammar.rhs))
+    idx.grammar = Grammar(lam=4, rhs=damage(idx.grammar.rhs))
     with pytest.raises(CorruptIndexError, match=reason):
         load_index(save_index(idx))
 
@@ -188,20 +188,21 @@ def _unary_index(n: int) -> TextIndex:
     """A consistent lambda=2 index of ``a`` repeated n times, written by hand."""
     return TextIndex(
         alphabet=DenseAlphabet(b"a"),
-        lam=2,
-        grammar=Grammar(lam=2, sigma=1, rhs=[bytes([1])]),
+        grammar=Grammar(lam=2, rhs=[bytes([1])]),
         rlfm1=RLFMIndex(run_heads=[1, 0], run_lengths=[n, 1]),
         trie=ShortPatternTrie(child_counts=[1], edges=[1], counts=[n]),
+        n=n,
     )
 
 
 @pytest.mark.parametrize("n", [2**32 + 3, 2**32])
 def test_fields_beyond_32_bits_round_trip_at_width_8(n):
     """A level-1 run length and a trie count past 32 bits take 8-byte columns."""
-    blob = save_index(_unary_index(n))
+    index = _unary_index(n)
+    blob = save_index(index)
     loaded = load_index(blob)
     assert save_index(loaded) == blob
-    assert loaded.n == n and loaded.count(b"a") == n
+    assert loaded.n == index.n == n and loaded.count(b"a") == n
     with pytest.raises(CorruptIndexError, match="exceeds int64"):
         load_index(reseal(blob.replace(struct.pack("<Q", n), struct.pack("<Q", 2**63 + n))))
 
@@ -212,10 +213,10 @@ def test_rejects_level1_text_length_past_int64():
     int64 dot product and would match a trie of ``aaaa``."""
     wrapped = TextIndex(
         alphabet=DenseAlphabet(b"a"),
-        lam=4,
-        grammar=Grammar(lam=4, sigma=1, rhs=[bytes([1]) * 4]),
+        grammar=Grammar(lam=4, rhs=[bytes([1]) * 4]),
         rlfm1=RLFMIndex(run_heads=[1, 0], run_lengths=[2**62 + 1, 1]),
         trie=ShortPatternTrie.build(np.ones(4, dtype=np.uint8), 4),
+        n=4 * (2**62 + 1),
     )
     with pytest.raises(CorruptIndexError, match="text length past int64"):
         load_index(save_index(wrapped))

@@ -125,3 +125,10 @@ def test_extract_patterns_all_occur():
     assert all(p.tobytes() in raw for p in pats)
     again = extract_patterns(rng, 32, 20, 1)
     assert all(np.array_equal(a, b) for a, b in zip(pats, again))
+
+
+def test_extract_patterns_rejects_length_beyond_the_text():
+    text = np.frombuffer(b"bacabacaacbcbc", dtype="u1")
+    assert len(extract_patterns(text, 14, 3, 1)) == 3
+    with pytest.raises(ValueError, match="exceeds the text length"):
+        extract_patterns(text, 15, 3, 1)

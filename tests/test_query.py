@@ -1,12 +1,13 @@
 import random
+import time
 
 import numpy as np
 import pytest
 
-from conftest import to_codes
+from conftest import LARGE_LAMBDAS, to_codes
 from gfi import grammar as gm
 from gfi.errors import InvalidPatternError
-from gfi.index import build_index
+from gfi.index import build_index, load_index, save_index
 from gfi.lms import chunk_string
 from gfi.oracle import naive_count
 from gfi.query import (
@@ -60,7 +61,7 @@ def test_plan_structure_cabaca(running_example_index):
 
 
 def test_plan_structure_trailing_run_transfer():
-    g = gm.Grammar(lam=2, sigma=3, rhs=[bytes([1]), bytes([1, 3]), bytes([3]), bytes([3, 3])])
+    g = gm.Grammar(lam=2, rhs=[bytes([1]), bytes([1, 3]), bytes([3]), bytes([3, 3])])
     plan = plan_branches(to_codes(b"bacc"), g)  # factors b | acc
     assert plan.core_ids == ()  # two factors leave no interior
     by_anchor = {lb.anchor: lb.exact_ids for lb in plan.last_branches}
@@ -71,7 +72,7 @@ def test_plan_structure_trailing_run_transfer():
 def test_plan_suppresses_indistinguishable_transfer_branch():
     # stem length on the chunk grid: the transferred-run search would be
     # identical to the plain one, so only the plain branch is emitted
-    g = gm.Grammar(lam=2, sigma=3, rhs=[bytes([1, 2]), bytes([2]), bytes([3, 3])])
+    g = gm.Grammar(lam=2, rhs=[bytes([1, 2]), bytes([2]), bytes([3, 3])])
     plan = plan_branches(to_codes(b"babcc"), g)  # factors b | abcc
     assert len(plan.last_branches) == 1
     assert plan.last_branches[0].anchor == bytes([3, 3])
@@ -82,7 +83,7 @@ def test_plan_structure_single_factor_transfer():
     # abcc is one factor: offsets h=0 and h=1, plus one transferred-run
     # search; the whole-stem search would repeat offset h=0 and is not emitted
     a, b, c = (bytes([k]) for k in (1, 2, 3))
-    g = gm.Grammar(lam=2, sigma=3, rhs=[a, a + b, b, b + c, c, c + c])
+    g = gm.Grammar(lam=2, rhs=[a, a + b, b, b + c, c, c + c])
     plan = plan_branches(a + b + c + c, g)
     assert plan.paired and not plan.dead
     assert len(plan.last_branches) == len(plan.first_branches) == 3
@@ -148,7 +149,7 @@ def chain_constraints(plan, grammar):
 def simulate_positions(chain, grammar, level1):
     """Text positions (0-based) where the chain matches the symbol string."""
     suffix_query, slots = chain
-    lengths = grammar.expansion_lengths()
+    lengths = np.array([0] + [len(s) for s in grammar.rhs])  # by lex id; 0 is the terminator
     exp_start = np.zeros(len(level1) + 1, dtype=np.int64)
     np.cumsum(lengths[level1], out=exp_start[1:])
     out = []
@@ -239,6 +240,52 @@ def test_oracle_equivalence_randomized():
             want = naive_count(text, list(pat))
             assert count(idx, pat) == want, (raw, lam, pat)
             assert idx.count_baseline(pat) == want
+
+
+def _large_lambda_text(rng) -> tuple[int, bytes]:
+    """An alphabet size and a random, periodic or run-structured text of
+    at most 400 codes over it.
+
+    Periodic and run-structured texts have long S* factors, so their
+    patterns of at least chunk length are often single-factor ones."""
+    sigma = rng.choice([1, 2, 3, 4, 16, 200])
+    n = rng.randint(sigma, 400)
+    kind = rng.random()
+    if kind < 0.2:
+        unit = bytes(rng.choices(range(1, sigma + 1), k=rng.randint(1, 6)))
+        return sigma, (unit * n)[:n]
+    if kind < 0.4:
+        runs = [bytes([rng.randint(1, sigma)]) * rng.randint(1, 40) for _ in range(n // 20 + 1)]
+        return sigma, b"".join(runs)[:n]
+    return sigma, bytes(rng.choices(range(1, sigma + 1), k=n))
+
+
+def test_oracle_equivalence_at_large_lambda():
+    """Chunk sizes from 9 up to the format's 255, each index saved and
+    loaded, with patterns of up to 300 codes on both sides of lam."""
+    rng = random.Random(23)
+    start = time.perf_counter()
+    cases = 0
+    for _ in range(30):
+        sigma, raw = _large_lambda_text(rng)
+        n = len(raw)
+        for lam in LARGE_LAMBDAS:
+            idx = load_index(save_index(build_index(raw, lam, with_baseline=True)))
+            for _ in range(30):
+                m = rng.choice([rng.randint(1, 300), rng.randint(max(1, lam - 2), lam + 2)])
+                if rng.random() < 0.7 and n >= m:
+                    i = rng.randint(0, n - m)
+                    pat = raw[i : i + m]
+                else:
+                    pat = bytes(rng.choices(range(1, sigma + 1), k=m))
+                want = naive_count(raw, pat)
+                assert count(idx, pat) == want, (raw, lam, pat)
+                assert idx.count_baseline(pat) == want, (raw, lam, pat)
+                cases += 1
+    elapsed = time.perf_counter() - start
+    assert cases >= 4000
+    assert elapsed < 60, elapsed
+    print("large-lambda suite: %d cases, 0 mismatches, %.1f s" % (cases, elapsed))
 
 
 def test_count_rejects_out_of_alphabet(running_example_index):

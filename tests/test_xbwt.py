@@ -22,7 +22,7 @@ def test_arrays_running_example():
 
 
 def test_single_rule_grammar():
-    g = gm.Grammar(lam=2, sigma=1, rhs=[bytes([1])])
+    g = gm.Grammar(lam=2, rhs=[bytes([1])])
     trie = build_xbwt(g)
     assert trie.L.tolist() == [1, 0]
     assert trie.last.tolist() == [1, 1]
@@ -78,7 +78,7 @@ def test_agrees_with_sparse_dictionary_exhaustively():
 
 def test_deep_rules_beyond_chunk_bound_still_searchable():
     # hand-built grammar with rules longer than one another
-    g = gm.Grammar(lam=4, sigma=3, rhs=[bytes([1, 1, 2]), bytes([1, 2]), bytes([2, 1, 1, 2])])
+    g = gm.Grammar(lam=4, rhs=[bytes([1, 1, 2]), bytes([1, 2]), bytes([2, 1, 1, 2])])
     trie = build_xbwt(g)
     assert trie.prefix_range(bytes([1, 1])) == (1, 1)
     assert trie.prefix_range(bytes([1])) == (1, 2)
