@@ -8,7 +8,7 @@ bytes, mapped from the raw bytes by one 256-byte translate table.
 
 from __future__ import annotations
 
-from gfi.errors import EmptyTextError, InvalidByteError
+from gfi.errors import EmptyTextError, InvalidByteError, InvalidPatternError
 
 
 class DenseAlphabet:
@@ -28,7 +28,13 @@ class DenseAlphabet:
         return len(self.code_to_byte)
 
     def encode(self, data: bytes) -> bytes | None:
-        """Map a byte string to code bytes; None if any byte is outside the alphabet."""
+        """Map a byte string to code bytes; None if any byte is outside the alphabet.
+
+        Both count paths encode their pattern here, so this is where an
+        empty pattern is rejected.
+        """
+        if not data:
+            raise InvalidPatternError("empty pattern")
         codes = data.translate(self.byte_to_code)
         return None if 0 in codes else codes
 

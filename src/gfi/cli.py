@@ -15,23 +15,36 @@ from gfi.errors import InvalidParameterError
 from gfi.query import count as query_count
 
 
+def _summary(idx) -> dict:
+    """The counts both build and stats report, in stats' order; r0 only with a baseline."""
+    summary = {
+        "n": idx.n,
+        "sigma": idx.alphabet.size,
+        "sigma1": idx.grammar.size,
+        "r1": idx.rlfm1.run_count,
+    }
+    if idx.baseline_runs is not None:  # read as stored; rlfm0 would build its rank layout
+        summary["r0"] = len(idx.baseline_runs[0])
+    return summary
+
+
 def _cmd_build(args) -> int:
     with open(args.input, "rb") as fh:
         raw = fh.read()
     idx = index_mod.build_index(raw, args.lam, with_baseline=args.baseline)
     index_mod.save_index_file(idx, args.output)
-    sizes = index_mod.section_sizes(idx)
+    summary = _summary(idx)
     print("name,n,sigma,sigma1,r0,r1,bytes")
     print(
         "%s,%d,%d,%d,%s,%d,%d"
         % (
             args.input,
-            idx.n,
-            idx.alphabet.size,
-            idx.grammar.size,
-            len(idx.baseline_runs[0]) if idx.baseline_runs is not None else "",
-            idx.rlfm1.run_count,
-            sizes["total"],
+            summary["n"],
+            summary["sigma"],
+            summary["sigma1"],
+            summary.get("r0", ""),
+            summary["r1"],
+            index_mod.section_sizes(idx)["total"],
         )
     )
     return 0
@@ -113,12 +126,8 @@ def _cmd_stats(args) -> int:
     sizes = index_mod.section_sizes(idx)
     print("key,value")
     print("lambda,%d" % idx.grammar.lam)
-    print("n,%d" % idx.n)
-    print("sigma,%d" % idx.alphabet.size)
-    print("sigma1,%d" % idx.grammar.size)
-    print("r1,%d" % idx.rlfm1.run_count)
-    if idx.baseline_runs is not None:  # read as stored; rlfm0 would build its rank layout
-        print("r0,%d" % len(idx.baseline_runs[0]))
+    for key, value in _summary(idx).items():
+        print("%s,%d" % (key, value))
     for name, size in sizes.items():
         print("bytes_%s,%d" % (name, size))
     return 0

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from gfi import lms
-from gfi.errors import InvalidPatternError
 from gfi.grammar import Grammar
 from gfi.lms import chunk_string
 from gfi.rlfm import RLFMIndex
@@ -270,8 +269,6 @@ def execute_plan(
 
 def count(index, pattern: bytes, trace: QueryTrace | None = None) -> int:
     """Occurrences of a byte pattern; bytes outside the alphabet give 0."""
-    if len(pattern) == 0:
-        raise InvalidPatternError("empty pattern")
     codes = index.alphabet.encode(pattern)
     if codes is None:
         return 0

@@ -32,6 +32,15 @@ def test_count_rejects_empty(running_example_index):
         count(running_example_index, b"")
 
 
+def test_count_and_baseline_count_reject_empty():
+    # the baseline's full row range would otherwise answer n + 1
+    idx = build_index(b"abracadabra", 3, with_baseline=True)
+    with pytest.raises(InvalidPatternError):
+        idx.count(b"")
+    with pytest.raises(InvalidPatternError):
+        idx.count_baseline(b"")
+
+
 def test_short_patterns_use_trie(running_example_index):
     idx = running_example_index
     assert count(idx, b"bc") == 2

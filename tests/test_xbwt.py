@@ -2,6 +2,7 @@ import itertools
 import random
 
 import numpy as np
+import pytest
 
 from conftest import to_codes
 from gfi import grammar as gm
@@ -18,7 +19,6 @@ def test_arrays_running_example():
     # edge labels down the row table; 0 is the leaf terminator
     assert trie.L.tolist() == [2, 3, 0, 0, 0, 1, 0, 1, 0, 1, 2]
     assert trie.last.tolist() == [0, 1, 1, 1, 0, 1, 0, 1, 1, 0, 1]
-    assert trie.leaf_count == 5
 
 
 def test_single_rule_grammar():
@@ -55,6 +55,16 @@ def test_row_shape_invariants():
     assert edges >= internal
 
 
+def assert_prefix_ranges_agree(g, trie, queries):
+    for q in queries:
+        want = g.prefix_range(q)
+        got = trie.prefix_range(q)
+        if want[0] > want[1]:
+            assert got[0] > got[1], (g.lam, q)
+        else:
+            assert got == want, (g.lam, q)
+
+
 def test_agrees_with_sparse_dictionary_exhaustively():
     rng = random.Random(16)
     for _ in range(120):
@@ -66,14 +76,33 @@ def test_agrees_with_sparse_dictionary_exhaustively():
         trie = build_xbwt(g)
         assert trie.leaf_order().tolist() == g.colex_to_lex.tolist()
         for k in range(1, lam + 1):
-            for q in itertools.product(range(1, sigma + 1), repeat=k):
-                qb = bytes(q)
-                want = g.prefix_range(qb)
-                got = trie.prefix_range(qb)
-                if want[0] > want[1]:
-                    assert got[0] > got[1], (text, lam, qb)
-                else:
-                    assert got == want, (text, lam, qb)
+            queries = map(bytes, itertools.product(range(1, sigma + 1), repeat=k))
+            assert_prefix_ranges_agree(g, trie, queries)
+
+
+def full_byte_text():
+    """All 255 codes once, shuffled so that no factor grows long, then 200 random ones."""
+    rng = random.Random(255)
+    return bytes(rng.sample(range(1, 256), 255)) + bytes(rng.randint(1, 255) for _ in range(200))
+
+
+EDGE_TEXTS = {
+    "unary": bytes([1]) * 300,  # one factor, chunked into rules of lam codes
+    "full-byte": full_byte_text(),
+    "empty": b"",  # one rule, the empty string
+}
+
+
+@pytest.mark.parametrize("lam", [9, 64, 255])
+@pytest.mark.parametrize("name", EDGE_TEXTS)
+def test_agrees_with_sparse_dictionary_at_edge_shapes(name, lam):
+    g, _ = gm.build(EDGE_TEXTS[name], lam)
+    trie = build_xbwt(g)
+    assert trie.leaf_order().tolist() == g.colex_to_lex.tolist()
+    # every substring of every rule, the empty one included, and some non-rules
+    queries = {s[i:j] for s in g.rhs for i in range(len(s) + 1) for j in range(i, len(s) + 1)}
+    queries |= {bytes([0]), bytes([1, 0, 1]), bytes([2]), bytes([1]) * (lam + 1), bytes([255]) * 4}
+    assert_prefix_ranges_agree(g, trie, sorted(queries))
 
 
 def test_deep_rules_beyond_chunk_bound_still_searchable():
