@@ -39,12 +39,7 @@ def chunk(factors: list[bytes], lam: int) -> list[bytes]:
     chunks = []
     for factor in factors:
         if len(factor) <= lam:
-            chunks.append(factor)  # most factors fit one chunk; skip the call
+            chunks.append(factor)  # most factors fit one chunk; skip the comprehension
         else:
-            chunks.extend(chunk_string(factor, lam))
+            chunks.extend([factor[i : i + lam] for i in range(0, len(factor), lam)])
     return chunks
-
-
-def chunk_string(s: bytes, lam: int) -> list[bytes]:
-    """Left-to-right lam-chunks of one string (helper shared with queries)."""
-    return [s[i : i + lam] for i in range(0, len(s), lam)]

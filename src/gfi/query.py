@@ -9,10 +9,16 @@ and the pattern's trailing character run can belong to the following
 text factor.  The planner therefore enumerates disjoint branches
 covering every alignment of the head within its covering chunk and both
 typings of the trailing run; the executor runs one backward search per
-branch and sums the results.  Both plan shapes, the general one and the
-single-factor one, cut every right end on the chunk grid with one helper
-(``_cut``) and enumerate the final-chunk lengths of a head with another
-(``_first_branches``).
+branch and sums the results.
+
+The planner reads rule ids straight off the code bytes: it takes the S*
+cut positions and looks up each chunk as a slice between them, with one
+helper (``_chunk_ids``) that stops at the first chunk that is no rule.
+The core, every right-end cut on the chunk grid and every head
+enumeration go through it, so no factor or chunk list is built, and a
+missing core chunk ends the plan at once.  The executor skips the walk
+for an empty id tuple and resolves each distinct suffix query to its
+colex interval once per plan.
 
 Patterns shorter than the chunk size are answered by the short-pattern
 trie instead.
@@ -21,11 +27,11 @@ trie instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 from gfi import lms
 from gfi.grammar import Grammar
-from gfi.lms import chunk_string
 from gfi.rlfm import RLFMIndex
 
 
@@ -87,123 +93,111 @@ class QueryTrace:
 
 def trailing_run(s: bytes) -> int:
     """Length of the maximal equal-character suffix of s."""
-    k = len(s) - 1
-    while k > 0 and s[k - 1] == s[-1]:
-        k -= 1
-    return len(s) - k
+    return len(s) - len(s.rstrip(s[-1:]))
 
 
-def pattern_factors(codes: bytes) -> list[bytes]:
-    """The pattern's LMS factors, cut by the same scan as the text's."""
-    return lms.factorize(codes, lms.classify(codes))
+def _chunk_ids(get, s: bytes, bounds, lam: int) -> tuple | None:
+    """Rule ids of ``s`` between consecutive ``bounds``, each span cut into
+    lam-chunks from its start; None at the first chunk that is no rule."""
+    ids = []
+    for a, b in zip(bounds, bounds[1:]):
+        while a < b:
+            e = a + lam
+            rule = get(s[a : e if e < b else b])
+            if rule is None:
+                return None
+            ids.append(rule)
+            a = e
+    return tuple(ids)
 
 
-def _ids_of(grammar: Grammar, pieces) -> tuple | None:
-    """The rule ids of the pieces, or None when one of them is not a rule."""
-    ids = tuple(map(grammar.rhs_id.get, pieces))
-    return None if None in ids else ids
+def _cut(get, s: bytes, a: int, lam: int) -> LastBranch | None:
+    """``s[a:]`` cut into lam-chunks from a: the full chunks must be rules,
+    the final piece seeds the search as a prefix query.  None on a miss."""
+    p = a + (len(s) - a - 1) // lam * lam
+    exact = _chunk_ids(get, s, (a, p), lam) if p > a else ()
+    return None if exact is None else LastBranch(s[p:], exact)
 
 
-def _cut(grammar: Grammar, s: bytes) -> LastBranch | None:
-    """Cut ``s`` into lam-chunks from its first character.
+def _first_branches(get, s: bytes, end: int, longest: int, lam: int) -> list[FirstBranch]:
+    """Branches over final-chunk lengths 1..longest of the factor covering ``s[:end]``.
 
-    Every piece but the last must be a rule; the last seeds the search as
-    a prefix query.  None when a piece is not a rule.
+    ``end`` is a factor boundary.  A final chunk of length f pins the f
+    characters before ``end`` exactly, full chunks continue leftward, and
+    whatever is left resolves through a suffix query.  The final chunk is
+    looked up first: it is the piece that usually misses.
     """
-    pieces = chunk_string(s, grammar.lam)
-    exact = _ids_of(grammar, pieces[:-1])
-    return None if exact is None else LastBranch(pieces[-1], exact)
-
-
-def _first_branches(grammar: Grammar, head: bytes, longest: int) -> list[FirstBranch]:
-    """Branches over final-chunk lengths 1..longest of the factor covering ``head``.
-
-    ``head`` ends at a factor boundary.  A final chunk of length f shorter
-    than the head pins its last f characters exactly, full chunks continue
-    leftward, and whatever is left of the head resolves through a suffix
-    query.
-    """
-    lam = grammar.lam
-    out: list[FirstBranch] = []
-    for f in range(1, longest + 1):
-        rest = head[:-f]
-        g = len(rest) % lam
-        exact = _ids_of(grammar, chunk_string(rest[g:], lam) + [head[-f:]])
+    out = []
+    for start in range(end - 1, end - longest - 1, -1):
+        final = get(s[start:end])
+        if final is None:
+            continue
+        g = start % lam
+        exact = _chunk_ids(get, s, (g, start), lam) if start > g else ()
         if exact is not None:
-            out.append(FirstBranch(exact, rest[:g] or None))
+            out.append(FirstBranch(exact + (final,), s[:g] or None))
     return out
 
 
-def _plan_composite(factors: list[bytes], grammar: Grammar) -> BranchPlan:
-    """Plan for patterns with at least two factors."""
-    lam = grammar.lam
-    plan = BranchPlan()
-
-    core = _ids_of(grammar, lms.chunk(factors[1:-1], lam))
-    if core is None:
-        plan.dead = True
-        return plan
-    plan.core_ids = core
-
-    last = factors[-1]
-    plain = _cut(grammar, last)
-    if plain is not None:
-        plan.last_branches.append(plain)
-
-    stem = last[: -trailing_run(last)]
-    if len(stem) % lam != 0:
-        # A stem ending off the chunk grid makes the transferred-run search
-        # distinguishable from the plain one; on the grid the two collapse
-        # and the plain branch already counts both typings.
-        run = _cut(grammar, last[len(stem) :])
-        stem_exact = _ids_of(grammar, chunk_string(stem, lam))
-        if run is not None and stem_exact is not None:
-            plan.last_branches.append(LastBranch(run.anchor, stem_exact + run.exact_ids))
-
-    head = factors[0]
-    plan.first_branches = _first_branches(grammar, head, min(lam, len(head) - 1))
-    if len(head) <= lam:
-        # The head fits inside one chunk: one suffix query on the whole head
-        # covers every remaining final-chunk length.
-        plan.first_branches.append(FirstBranch((), head))
-    return plan
-
-
-def _plan_single(pattern: bytes, grammar: Grammar) -> BranchPlan:
+def _plan_single(codes: bytes, get, lam: int, stem_end: int) -> BranchPlan:
     """Plan for single-factor patterns of at least chunk length.
 
     Without interior factors there is no core; instead the pattern's
     start offset inside its covering chunk is enumerated directly: the
     pattern minus its first h characters is cut on the chunk grid and
     those h characters become the suffix query.  The transferred-run
-    variants come from the head enumeration over the run-free stem, for
-    the final-chunk lengths that the offsets cannot express: a full final
-    chunk would put the run on an offset's grid and repeat its search.
+    variants come from the head enumeration over the run-free stem
+    ``codes[:stem_end]``, for the final-chunk lengths that the offsets
+    cannot express: a full final chunk would put the run on an offset's
+    grid and repeat its search.
     """
-    lam = grammar.lam
-    plan = BranchPlan(paired=True)
-
+    last_branches, first_branches = [], []
     for h in range(lam):
-        lb = _cut(grammar, pattern[h:])
+        lb = _cut(get, codes, h, lam)
         if lb is not None:
-            plan.last_branches.append(lb)
-            plan.first_branches.append(FirstBranch((), pattern[:h] or None))
+            last_branches.append(lb)
+            first_branches.append(FirstBranch((), codes[:h] or None))
 
-    stem = pattern[: -trailing_run(pattern)]
-    run = _cut(grammar, pattern[len(stem) :])
+    run = _cut(get, codes, stem_end, lam)
     if run is not None:
-        for fb in _first_branches(grammar, stem, min(lam - 1, len(stem) - 1)):
-            plan.last_branches.append(LastBranch(run.anchor, fb.exact_ids + run.exact_ids))
-            plan.first_branches.append(FirstBranch((), fb.suffix_query))
-    return plan
+        for fb in _first_branches(get, codes, stem_end, min(lam - 1, stem_end - 1), lam):
+            last_branches.append(LastBranch(run.anchor, fb.exact_ids + run.exact_ids))
+            first_branches.append(FirstBranch((), fb.suffix_query))
+    return BranchPlan((), last_branches, first_branches, paired=True)
 
 
 def plan_branches(codes: bytes, grammar: Grammar) -> BranchPlan:
     """Build the branch plan for a pattern of at least chunk length."""
-    factors = pattern_factors(codes)
-    if len(factors) >= 2:
-        return _plan_composite(factors, grammar)
-    return _plan_single(factors[0], grammar)
+    lam = grammar.lam
+    get = grammar.rhs_id.get
+    cuts = lms.classify(codes)
+    stem_end = len(codes) - trailing_run(codes)  # the trailing run starts after the last cut
+    if not cuts:
+        return _plan_single(codes, get, lam, stem_end)
+
+    core = _chunk_ids(get, codes, cuts, lam)
+    if core is None:
+        return BranchPlan(dead=True)
+
+    last = cuts[-1]
+    plain = _cut(get, codes, last, lam)
+    last_branches = [] if plain is None else [plain]
+    if (stem_end - last) % lam:
+        # A stem ending off the chunk grid makes the transferred-run search
+        # distinguishable from the plain one; on the grid the two collapse
+        # and the plain branch already counts both typings.
+        run = _cut(get, codes, stem_end, lam)
+        stem_ids = None if run is None else _chunk_ids(get, codes, (last, stem_end), lam)
+        if stem_ids is not None:
+            last_branches.append(LastBranch(run.anchor, stem_ids + run.exact_ids))
+
+    head = cuts[0]
+    first_branches = _first_branches(get, codes, head, min(lam, head - 1), lam)
+    if head <= lam:
+        # The head fits inside one chunk: one suffix query on the whole head
+        # covers every remaining final-chunk length.
+        first_branches.append(FirstBranch((), codes[:head]))
+    return BranchPlan(core, last_branches, first_branches)
 
 
 def _walk(fm: RLFMIndex, lo: int, hi: int, ids, trace) -> tuple[int, int, int]:
@@ -222,19 +216,6 @@ def _walk(fm: RLFMIndex, lo: int, hi: int, ids, trace) -> tuple[int, int, int]:
     return lo, hi, steps
 
 
-def _finish(fm: RLFMIndex, grammar: Grammar, lo: int, hi: int, fb: FirstBranch, trace) -> int:
-    lo, hi, _ = _walk(fm, lo, hi, fb.exact_ids, trace)
-    if lo > hi:
-        return 0
-    if fb.suffix_query is None:
-        return hi - lo + 1
-    ranks = grammar.suffix_symbols(fb.suffix_query)
-    hits = fm.count_symbols_in_range(lo, hi, ranks, grammar.colex_rank, grammar.colex_to_lex)
-    if trace:
-        trace.log("suffix_count", fb.suffix_query, (lo, hi))
-    return hits
-
-
 def execute_plan(
     fm: RLFMIndex, grammar: Grammar, plan: BranchPlan, trace: QueryTrace | None = None
 ) -> int:
@@ -242,28 +223,48 @@ def execute_plan(
 
     Branches are pairwise disjoint, so the sum counts each occurrence
     exactly once.  The core is walked once per last branch and the
-    resulting range is shared across the first branches.
+    resulting range is shared across the first branches; each distinct
+    suffix query is resolved to its colex interval once per plan.
     """
     if plan.dead:
         return 0
     total = 0
-    pairs = (
-        zip(plan.last_branches, ([fb] for fb in plan.first_branches))
-        if plan.paired
-        else ((lb, plan.first_branches) for lb in plan.last_branches)
+    core = plan.core_ids
+    suffix_ranks = {}
+    pairs = zip(
+        plan.last_branches,
+        zip(plan.first_branches) if plan.paired else repeat(plan.first_branches),
     )
     for lb, first_branches in pairs:
         lo, hi = fm.id_interval_range(*grammar.prefix_range(lb.anchor))
         if trace:
             trace.log("anchor", lb.anchor, (lo, hi))
-        lo, hi, _ = _walk(fm, lo, hi, lb.exact_ids, trace)
-        lo, hi, steps = _walk(fm, lo, hi, plan.core_ids, trace)
-        if trace and steps:
-            trace.core_traversals.append((steps, steps == len(plan.core_ids)))
+        if lb.exact_ids:
+            lo, hi, _ = _walk(fm, lo, hi, lb.exact_ids, trace)
+        if core:
+            lo, hi, steps = _walk(fm, lo, hi, core, trace)
+            if trace and steps:
+                trace.core_traversals.append((steps, steps == len(core)))
         if lo > hi:
             continue
         for fb in first_branches:
-            total += _finish(fm, grammar, lo, hi, fb, trace)
+            a, b = lo, hi
+            if fb.exact_ids:
+                a, b, _ = _walk(fm, lo, hi, fb.exact_ids, trace)
+                if a > b:
+                    continue
+            q = fb.suffix_query
+            if q is None:
+                total += b - a + 1
+                continue
+            ranks = suffix_ranks.get(q)
+            if ranks is None:
+                ranks = suffix_ranks[q] = grammar.suffix_symbols(q)
+            total += fm.count_symbols_in_range(
+                a, b, ranks, grammar.colex_rank, grammar.colex_to_lex
+            )
+            if trace:
+                trace.log("suffix_count", q, (a, b))
     return total
 
 

@@ -97,10 +97,10 @@ class RLFMIndex:
     @classmethod
     def from_bwt(cls, bwt) -> "RLFMIndex":
         bwt = np.asarray(bwt)
-        change = np.flatnonzero(bwt[1:] != bwt[:-1])
-        starts = np.concatenate([[0], change + 1])
-        ends = np.concatenate([change + 1, [len(bwt)]])
-        return cls(run_heads=bwt[starts], run_lengths=ends - starts)
+        is_start = np.ones(len(bwt), dtype=bool)  # an empty BWT has no runs
+        is_start[1:] = bwt[1:] != bwt[:-1]
+        starts = np.flatnonzero(is_start)
+        return cls(run_heads=bwt[starts], run_lengths=np.diff(starts, append=len(bwt)))
 
     @property
     def run_count(self) -> int:

@@ -78,7 +78,7 @@ class XbwtTrie:
         leaf edge's terminator rank is the rule's lex id.
         """
         out: list[int] = []
-        stack: list[int] = [1]  # group indices, root group is 1
+        stack: list[int] = [1] if len(self.L) else []  # group indices, root group is 1
         while stack:
             group = stack.pop()
             pending: list[int] = []

@@ -12,11 +12,11 @@ import numpy as np
 
 from conftest import to_codes
 from gfi import grammar as gm
+from gfi import lms
 from gfi.bwt import bwt_of
 from gfi.index import build_index, load_index, save_index
-from gfi.lms import chunk_string
 from gfi.oracle import extract_patterns, naive_count
-from gfi.query import QueryTrace, count, pattern_factors
+from gfi.query import QueryTrace, count
 from gfi.rlfm import RLFMIndex
 from gfi.xbwt import build_xbwt
 
@@ -165,8 +165,9 @@ def test_criterion_09_step_counts(artificial_text, artificial_index):
     total_ranks = 0
     for pat in patterns:
         pb = pat.tobytes()
-        factors = pattern_factors(idx.alphabet.encode(pb))
-        expected = sum(len(chunk_string(f, idx.grammar.lam)) for f in factors[1:-1])
+        codes = idx.alphabet.encode(pb)
+        factors = lms.factorize(codes, lms.classify(codes))
+        expected = sum(-(-len(f) // idx.grammar.lam) for f in factors[1:-1])
         trace = QueryTrace()
         idx.rlfm1.stats.reset()
         assert count(idx, pb, trace) >= 1

@@ -6,14 +6,14 @@ import pytest
 
 from conftest import LARGE_LAMBDAS, to_codes
 from gfi import grammar as gm
+from gfi import lms
 from gfi.errors import InvalidPatternError
 from gfi.index import build_index, load_index, save_index
-from gfi.lms import chunk_string
 from gfi.oracle import naive_count
 from gfi.query import (
     QueryTrace,
     count,
-    pattern_factors,
+    execute_plan,
     plan_branches,
     trailing_run,
 )
@@ -111,6 +111,82 @@ def test_plan_dead_when_core_chunk_missing():
     plan = plan_branches(to_codes(b"cabcaca"), idx.grammar)
     assert plan.dead
     assert count(idx, b"cabcaca") == 0
+    # bacabacaacbc is b | ac | ab | ac | aac | bc; at lam=2 its core is
+    # ac ab ac aa c.  Without the rule c the last core chunk misses, and
+    # the plan is dead before any end branch is looked up.
+    rules = [to_codes(r) for r in (b"aa", b"ab", b"ac", b"b", b"bc", b"c")]
+    codes = to_codes(b"bacabacaacbc")
+    assert plan_branches(codes, gm.Grammar(lam=2, rhs=rules)).core_ids == (3, 2, 3, 1, 6)
+    plan = plan_branches(codes, gm.Grammar(lam=2, rhs=rules[:-1]))
+    assert plan.dead
+    assert plan.core_ids == () and plan.last_branches == [] and plan.first_branches == []
+
+
+def test_trace_logs_the_criterion_5_walk():
+    # cabaca at lam=4: the whole-factor anchor aca is empty and takes no
+    # step; the run anchor a walks [2..5] -> [4..5] -> [3..3]
+    idx = build_index(b"bacabacaacbcbc", 4)
+    trace = QueryTrace()
+    assert count(idx, b"cabaca", trace) == 1
+    a, b, c = (bytes([k]) for k in (1, 2, 3))
+    assert trace.events == [
+        ("anchor", a + c + a, (1, 0)),
+        ("anchor", a, (2, 5)),
+        ("step", 3, (4, 5)),
+        ("step", 2, (3, 3)),
+        ("suffix_count", c, (3, 3)),
+    ]
+    assert trace.core_traversals == [(1, True)]
+
+
+def test_execute_resolves_each_suffix_query_once(monkeypatch, artificial_text, artificial_index):
+    """Branches that share a suffix query share its colex interval: one
+    Grammar.suffix_symbols call per distinct query in a plan."""
+    calls = []
+    suffix_symbols = gm.Grammar.suffix_symbols
+
+    def counted(self, q):
+        calls.append(q)
+        return suffix_symbols(self, q)
+
+    monkeypatch.setattr(gm.Grammar, "suffix_symbols", counted)
+    idx = artificial_index
+    rng = random.Random(29)
+    resolved = shared = 0
+    for _ in range(300):
+        m = rng.randint(4, 64)
+        i = rng.randrange(len(artificial_text) - m + 1)
+        pat = artificial_text[i : i + m]
+        plan = plan_branches(idx.alphabet.encode(pat), idx.grammar)
+        calls.clear()
+        trace = QueryTrace()
+        assert execute_plan(idx.rlfm1, idx.grammar, plan, trace) == idx.count_baseline(pat)
+        counted_queries = [payload for kind, payload, _ in trace.events if kind == "suffix_count"]
+        assert sorted(calls) == sorted(set(counted_queries)), pat
+        resolved += len(calls)
+        shared += len(counted_queries) - len(calls)
+    assert resolved >= 300 and shared >= 10, (resolved, shared)
+
+
+def test_rank_counters_match_recorded_values(artificial_text):
+    """Rank and step calls on a seeded pattern set are fixed numbers: a
+    constant-factor change to the query path must leave them identical."""
+    text = artificial_text[:100_000]
+    recorded = {4: (13464, 5978, 6511), 8: (10502, 4946, 2703)}
+    for lam, expected in recorded.items():
+        rng = random.Random(lam)
+        idx = build_index(text, lam)
+        idx.rlfm1.stats.reset()
+        total = 0
+        for _ in range(400):
+            m = rng.randint(lam, 96)
+            if rng.random() < 0.8:
+                i = rng.randrange(len(text) - m + 1)
+                pat = text[i : i + m]
+            else:
+                pat = bytes(rng.choices(b"ACGT", k=m))
+            total += count(idx, pat)
+        assert (idx.rlfm1.stats.rank_calls, idx.rlfm1.stats.step_calls, total) == expected
 
 
 def test_count_single_factor_patterns():
@@ -216,10 +292,11 @@ def test_core_step_count_formula():
         m = rng.randint(max(lam, 12), min(n, 48))
         i = rng.randint(0, n - m)
         pat = raw[i : i + m]
-        factors = pattern_factors(to_codes(pat))
+        codes = to_codes(pat)
+        factors = lms.factorize(codes, lms.classify(codes))
         if len(factors) < 3:
             continue
-        expect = sum(len(chunk_string(f, lam)) for f in factors[1:-1])
+        expect = sum(-(-len(f) // lam) for f in factors[1:-1])
         trace = QueryTrace()
         got = count(idx, pat, trace)
         assert got >= 1

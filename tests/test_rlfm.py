@@ -22,6 +22,14 @@ def test_run_counts():
     assert RLFMIndex.from_bwt([1, 1, 1, 0]).run_count == 2
 
 
+def test_empty_bwt_has_no_runs():
+    fm = RLFMIndex.from_bwt(np.array([], dtype=np.int64))
+    assert fm.run_count == 0
+    assert fm.total_length == 0
+    assert fm.backward_step(1, 0, 0) == (1, 0)
+    assert fm.count_plain([1]) == 0
+
+
 def test_rank_examples():
     fm = RLFMIndex.from_bwt(LEVEL1_BWT)
     assert fm.rank(3, 5) == 2

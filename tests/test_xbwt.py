@@ -29,6 +29,14 @@ def test_single_rule_grammar():
     assert trie.leaf_order().tolist() == [1]
 
 
+def test_empty_grammar():
+    trie = build_xbwt(gm.Grammar(lam=2, rhs=[]))
+    assert trie.L.tolist() == [] and trie.last.tolist() == []
+    assert trie.leaf_order().tolist() == []
+    lo, hi = trie.prefix_range(bytes([1]))
+    assert lo > hi
+
+
 def test_prefix_range_examples():
     trie = build_xbwt(running_grammar())
     assert trie.prefix_range(bytes([1])) == (1, 3)  # a -> A, B, C
