@@ -17,8 +17,8 @@ helper (``_chunk_ids``) that stops at the first chunk that is no rule.
 The core, every right-end cut on the chunk grid and every head
 enumeration go through it, so no factor or chunk list is built, and a
 missing core chunk ends the plan at once.  The executor skips the walk
-for an empty id tuple and resolves each distinct suffix query to its
-colex interval once per plan.
+for an empty id tuple and resolves a suffix query to its colex interval
+where it counts: repeats inside one plan are too rare to keep a memo.
 
 Patterns shorter than the chunk size are answered by the short-pattern
 trie instead.
@@ -223,14 +223,13 @@ def execute_plan(
 
     Branches are pairwise disjoint, so the sum counts each occurrence
     exactly once.  The core is walked once per last branch and the
-    resulting range is shared across the first branches; each distinct
-    suffix query is resolved to its colex interval once per plan.
+    resulting range is shared across the first branches; each suffix
+    count resolves its query to a colex interval.
     """
     if plan.dead:
         return 0
     total = 0
     core = plan.core_ids
-    suffix_ranks = {}
     pairs = zip(
         plan.last_branches,
         zip(plan.first_branches) if plan.paired else repeat(plan.first_branches),
@@ -257,11 +256,8 @@ def execute_plan(
             if q is None:
                 total += b - a + 1
                 continue
-            ranks = suffix_ranks.get(q)
-            if ranks is None:
-                ranks = suffix_ranks[q] = grammar.suffix_symbols(q)
             total += fm.count_symbols_in_range(
-                a, b, ranks, grammar.colex_rank, grammar.colex_to_lex
+                a, b, grammar.suffix_symbols(q), grammar.colex_rank, grammar.colex_to_lex
             )
             if trace:
                 trace.log("suffix_count", q, (a, b))

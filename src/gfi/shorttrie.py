@@ -9,7 +9,9 @@ level-order layout of Jacobson's succinct trees, the children of a node
 are one contiguous run of ids with their edge codes ascending, so one
 array of child-slice bounds, the running sum of the child counts, is all
 a lookup needs: each pattern code is one binary search over the current
-node's child edges.
+node's child edges.  The build settles that order with one sort per block
+of levels: each text position's node rank and next codes packed into one
+int64 key, as ``bwt.suffix_array`` packs its first round.
 """
 
 from __future__ import annotations
@@ -57,36 +59,60 @@ class ShortPatternTrie:
 
     @classmethod
     def build(cls, text: np.ndarray, lam: int) -> "ShortPatternTrie":
-        """Count all k-mers for k < lam with one vectorized pass per length.
+        """Count all k-mers for k < lam with one sort per block of levels.
 
-        A k-mer's key is the rank of its (k-1)-prefix among the distinct
-        (k-1)-mers, times (sigma+1), plus its last code.  So key order is
-        lexicographic order, a node's key divided by (sigma+1) is its
-        parent's rank within the previous level, and keys stay below
-        len(text) * (sigma+1) at every depth.
+        A block starting at depth d keys each text position by its depth-d
+        node rank followed by its next j codes in base sigma+1, 0 past the
+        text's end, for the largest j whose keys stay below 2^62.  Key
+        order is lexicographic order, so one ``np.unique`` settles j levels:
+        the depth-(d+i) nodes are the distinct keys without their last j-i
+        digits, less those ending in padding.  The levels are read deepest
+        first, each one's counts summed from the level below.  Depth 0 keys
+        on the codes alone, and positions get new ranks only when another
+        block follows.  Codes must be at least 1.
         """
-        text = np.asarray(text, dtype=np.int64)
-        depth = lam - 1
-        base = (int(text.max()) if len(text) else 0) + 1
+        text = np.asarray(text)
+        n = len(text)
+        if n and text.min() < 1:
+            raise ValueError("the trie needs codes of at least 1; 0 pads past the text's end")
+        depth, base = min(lam - 1, n), (int(text.max()) + 1 if n else 1)
+        levels = []  # per level, top down: its parents' child counts, its edges, its counts
+        rank, d, size = None, 0, 1  # depth-d ranks of positions 0..n-d-1; level size
+        while d < depth:
+            top, j = size, 1
+            while d + j < depth and top * base ** (j + 1) <= 2**62:
+                j += 1
+            key = text[d:].astype(np.int64) if rank is None else rank * base + text[d:]
+            for i in range(1, j):
+                key *= base
+                key[: n - d - i] += text[d + i :]
+            keys, *inverse, cnt = np.unique(key, return_inverse=d + j < depth, return_counts=True)
+            del key
+            code = keys % base
+            real = code != 0
+            size = int(np.count_nonzero(real))
+            if inverse:
+                rank = (np.cumsum(real) - 1)[inverse.pop()[: n - d - j]]
+            block = []
+            for i in range(j, 0, -1):  # keys, cnt, code and real describe level d+i
+                level = code[real], cnt[real]
+                keys //= base
+                if i == 1:
+                    block.append((np.bincount(keys[real], minlength=top), *level))
+                    break
+                start = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+                below = np.add.reduceat(real, start, dtype=np.int64)
+                keys, cnt = keys[start], np.add.reduceat(cnt, start)
+                code = keys % base
+                real = code != 0
+                block.append((below[real], *level))
+            levels += block[::-1]
+            d += j
         empty = np.zeros(0, dtype=np.int64)
-        parents, edges, counts = [empty], [empty], [empty]
-        keys = text  # 1-mers: the empty prefix has rank 0
-        first_id, level_size = 0, 1  # previous level's first node id and size: the root
-        for k in range(1, min(depth, len(text)) + 1):
-            if k > 1:
-                keys = np.searchsorted(level_keys, keys[:-1]) * base + text[k - 1 :]
-            level_keys, cnt = np.unique(keys, return_counts=True)
-            parents.append(level_keys // base + first_id)
-            edges.append(level_keys % base)
-            counts.append(cnt)
-            first_id += level_size
-            level_size = len(level_keys)
-        edges = np.concatenate(edges)
-        return cls(
-            child_counts=np.bincount(np.concatenate(parents), minlength=len(edges)),
-            edges=edges,
-            counts=np.concatenate(counts),
-        )
+        # The deepest level has no children; the column stops before its last node.
+        levels.append((np.zeros(size - 1, dtype=np.int64), empty, empty))
+        child_counts, edges, counts = map(np.concatenate, zip(*levels))
+        return cls(child_counts=child_counts, edges=edges, counts=counts)
 
     @property
     def node_count(self) -> int:

@@ -140,8 +140,8 @@ def test_trace_logs_the_criterion_5_walk():
 
 
 def test_execute_resolves_each_suffix_query_once(monkeypatch, artificial_text, artificial_index):
-    """Branches that share a suffix query share its colex interval: one
-    Grammar.suffix_symbols call per distinct query in a plan."""
+    """Each suffix count resolves its query to a colex interval with exactly
+    one Grammar.suffix_symbols call, and nothing else calls it."""
     calls = []
     suffix_symbols = gm.Grammar.suffix_symbols
 
@@ -152,7 +152,7 @@ def test_execute_resolves_each_suffix_query_once(monkeypatch, artificial_text, a
     monkeypatch.setattr(gm.Grammar, "suffix_symbols", counted)
     idx = artificial_index
     rng = random.Random(29)
-    resolved = shared = 0
+    resolved = 0
     for _ in range(300):
         m = rng.randint(4, 64)
         i = rng.randrange(len(artificial_text) - m + 1)
@@ -162,10 +162,9 @@ def test_execute_resolves_each_suffix_query_once(monkeypatch, artificial_text, a
         trace = QueryTrace()
         assert execute_plan(idx.rlfm1, idx.grammar, plan, trace) == idx.count_baseline(pat)
         counted_queries = [payload for kind, payload, _ in trace.events if kind == "suffix_count"]
-        assert sorted(calls) == sorted(set(counted_queries)), pat
+        assert calls == counted_queries, pat
         resolved += len(calls)
-        shared += len(counted_queries) - len(calls)
-    assert resolved >= 300 and shared >= 10, (resolved, shared)
+    assert resolved >= 300, resolved
 
 
 def test_rank_counters_match_recorded_values(artificial_text):

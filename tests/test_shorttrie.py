@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import to_codes
 from gfi.bwt import suffix_array
+from gfi.index import build_index, save_index, section_sizes
 from gfi.shorttrie import ShortPatternTrie
 
 
@@ -91,3 +93,103 @@ def test_node_counts_are_consistent():
                 continue  # no children stored below the trie depth
             tail = 1 if raw.endswith(label[node]) else 0
             assert int(trie.counts[node - 1]) == children_sum[node] + tail
+
+
+def _brute_force_columns(s: list, lam: int) -> tuple[list, list, list]:
+    """Level-order columns from a dict of k-mer counts, sorted level by level."""
+    depth = min(lam - 1, len(s))
+    kmers = {}
+    for k in range(1, depth + 1):
+        for i in range(len(s) - k + 1):
+            kmer = tuple(s[i : i + k])
+            kmers[kmer] = kmers.get(kmer, 0) + 1
+    nodes = sorted(kmers, key=lambda kmer: (len(kmer), kmer))
+    children = {(): 0}
+    for kmer in nodes:
+        children[kmer] = 0
+        children[kmer[:-1]] += 1
+    child_counts = [children[()]] + [children[kmer] for kmer in nodes]
+    return child_counts[: len(nodes)], [kmer[-1] for kmer in nodes], [kmers[kmer] for kmer in nodes]
+
+
+def _texts(rng: random.Random, sigma: int, n: int):
+    yield [rng.randint(1, sigma) for _ in range(n)]
+    period = [rng.randint(1, sigma) for _ in range(rng.randint(1, 5))]
+    yield (period * n)[:n]
+    runs = []
+    while len(runs) < n:
+        runs += [rng.randint(1, sigma)] * rng.randint(1, 40)
+    yield runs[:n]
+
+
+def test_columns_equal_brute_force_trie():
+    """Every column equals a trie built in plain Python, from one level to
+    several blocks of levels, on random, periodic and unary-run texts and
+    on texts shorter than the trie's depth."""
+    rng = random.Random(20)
+    cases = [
+        (sigma, lam, n)
+        for sigma in (1, 2, 4, 16, 255)
+        for lam in (1, 2, 3, 8, 9, 12, 20, 64, 255)
+        for n in (1, 6, 90)
+    ]
+    # Three blocks: 7 levels of 8-bit codes fit one int64 key, and then 6
+    # more behind each depth rank of about 1,000 nodes.
+    cases.append((255, 20, 1000))
+    for sigma, lam, n in cases:
+        for s in _texts(rng, sigma, n):
+            trie = ShortPatternTrie.build(np.array(s, dtype=np.uint8), lam)
+            got = [np.asarray(column).tolist() for column in (trie.child_counts, trie.edges, trie.counts)]
+            assert got == list(_brute_force_columns(s, lam)), (sigma, lam, n, s[:20])
+
+
+@pytest.mark.parametrize(
+    "sigma, lam, n, sorts",
+    [(255, 8, 1000, 1), (4, 27, 1000, 1), (4, 28, 1000, 2), (255, 20, 1000, 3)],
+)
+def test_one_sort_per_block_of_levels(monkeypatch, sigma, lam, n, sorts):
+    """A block packs as many levels as keep its keys below 2^62: all seven
+    levels of a byte alphabet at lambda 8 and 26 of a 4-letter one take one
+    sort."""
+    rng = random.Random(lam)
+    text = np.array([rng.randint(1, sigma) for _ in range(n - 1)] + [sigma], dtype=np.uint8)
+    calls = []
+    unique = np.unique
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    trie = ShortPatternTrie.build(text, lam)
+    assert len(calls) == sorts
+    assert trie.height == lam - 1
+
+
+def test_rejects_code_zero():
+    with pytest.raises(ValueError, match="at least 1"):
+        ShortPatternTrie.build(np.array([1, 0, 2]), 3)
+
+
+# Node count and sha256 of the trie section, recorded before the build
+# packed levels into blocks.
+PINNED_TRIE_SECTIONS = {
+    4: (84, "f75416df0667bef3668fbcefe8468b2b14af5d6c604a743f8dbab5cc4e44675c"),
+    8: (12974, "a888e294639461cef1edade3b5c61ac200a57bc3107b151fe66ac540a86c8fb2"),
+    16: (129315, "50efd2a98c58e00ef6ecd93d562174c82a0e803f67c9bbf6b88b8cffffa30c51"),
+}
+
+
+@pytest.mark.parametrize("lam", sorted(PINNED_TRIE_SECTIONS))
+def test_trie_section_pinned_on_generated_corpus(artificial_text, lam):
+    """The trie section of the first 100,000 bytes of the generated corpus:
+    a faster build must write the same file."""
+    nodes, digest = PINNED_TRIE_SECTIONS[lam]
+    index = build_index(artificial_text[:100_000], lam)
+    blob = save_index(index)
+    sizes = section_sizes(index)
+    names = list(sizes)
+    at = sum(sizes[name] for name in names[: names.index("short_trie")])
+    section = blob[at : at + sizes["short_trie"]]
+    assert index.trie.node_count == nodes
+    assert hashlib.sha256(section).hexdigest() == digest
