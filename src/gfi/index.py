@@ -219,7 +219,10 @@ def _read_index(data: bytes) -> TextIndex:
     gram = grammar_mod.Grammar(lam=lam, rhs=rhs)
 
     rlfm1 = RLFMIndex(*_read_runs(buf, len(rhs), "level-1", "rules"))
-    trie = ShortPatternTrie(*_read_columns(buf, 3))
+    child_counts, edges, counts = _read_columns(buf, 3)
+    if len(edges) and not 1 <= edges.min() <= edges.max() <= sigma:
+        raise ValueError("a trie edge lies outside the alphabet codes 1..%d" % sigma)
+    trie = ShortPatternTrie(child_counts, edges, counts)
     (has_baseline,) = _unpack(buf, "<B")
     if has_baseline > 1:
         raise ValueError("baseline flag %d is not 0 or 1" % has_baseline)
@@ -240,11 +243,17 @@ def _read_index(data: bytes) -> TextIndex:
         raise ValueError(
             "short-pattern trie depth %d does not match chunk size %d" % (trie.height, lam)
         )
-    # The level-1 runs give the text length as the sum of each rule's
-    # frequency times its length; the trie's depth-1 counts and the
-    # baseline's length give it again.
-    if lam > 1 and sum(trie.counts[: trie.kids[1]]) != n:
-        raise ValueError("the level-1 runs and the trie disagree on the text length")
+    # Each code's text frequency is the sum, over the rules, of the rule's
+    # level-1 frequency times the code's count in it; the trie's depth-1
+    # counts (none at lam 1) must give the same.  np.add.at keeps the sums
+    # exact in int64, where bincount's float64 weights round past 2**53.
+    if lam > 1:
+        freq_of_code = np.zeros(sigma + 1, dtype=np.int64)
+        np.add.at(freq_of_code, np.frombuffer(rules, dtype=np.uint8), np.repeat(freqs, lengths + 1))
+        depth1 = np.zeros(sigma + 1, dtype=np.int64)
+        depth1[edges[: trie.kids[1]]] = counts[: trie.kids[1]]
+        if not np.array_equal(depth1[1:], freq_of_code[1:]):
+            raise ValueError("the level-1 runs and the trie's depth-1 counts disagree")
     if baseline is not None and baseline[1].sum(dtype=np.int64) != n + 1:
         raise ValueError("the level-1 runs and the baseline disagree on the text length")
     if zlib.crc32(memoryview(data)[:-4]) != checksum:

@@ -16,9 +16,11 @@ cut positions and looks up each chunk as a slice between them, with one
 helper (``_chunk_ids``) that stops at the first chunk that is no rule.
 The core, every right-end cut on the chunk grid and every head
 enumeration go through it, so no factor or chunk list is built, and a
-missing core chunk ends the plan at once.  The executor skips the walk
-for an empty id tuple and resolves a suffix query to its colex interval
-where it counts: repeats inside one plan are too rare to keep a memo.
+missing core chunk ends the plan at once.  The executor walks a last
+branch's exact ids and the core in one ``backward_step`` call, and each
+first branch's exact ids in another; it skips the walk for an empty id
+tuple and resolves a suffix query to its colex interval where it counts:
+repeats inside one plan are too rare to keep a memo.
 
 Patterns shorter than the chunk size are answered by the short-pattern
 trie instead.
@@ -200,8 +202,11 @@ def plan_branches(codes: bytes, grammar: Grammar) -> BranchPlan:
     return BranchPlan(core, last_branches, first_branches)
 
 
-def _walk(fm: RLFMIndex, lo: int, hi: int, ids, trace) -> tuple[int, int, int]:
-    """Backward steps through ``ids`` right to left, stopping at an empty range.
+def _traced_walk(
+    fm: RLFMIndex, lo: int, hi: int, ids, trace: QueryTrace
+) -> tuple[int, int, int]:
+    """Backward steps through ``ids`` right to left, one symbol per call,
+    logging each range; stops at an empty range.
 
     Returns the final range and the number of steps taken.
     """
@@ -209,10 +214,9 @@ def _walk(fm: RLFMIndex, lo: int, hi: int, ids, trace) -> tuple[int, int, int]:
     for sym in reversed(ids):
         if lo > hi:
             break
-        lo, hi = fm.backward_step(lo, hi, sym)
+        lo, hi = fm.backward_step(lo, hi, (sym,))
         steps += 1
-        if trace:
-            trace.log("step", sym, (lo, hi))
+        trace.log("step", sym, (lo, hi))
     return lo, hi, steps
 
 
@@ -224,7 +228,10 @@ def execute_plan(
     Branches are pairwise disjoint, so the sum counts each occurrence
     exactly once.  The core is walked once per last branch and the
     resulting range is shared across the first branches; each suffix
-    count resolves its query to a colex interval.
+    count resolves its query to a colex interval.  Untraced, each walk is
+    one ``backward_step`` call: the last branch's exact ids and the core
+    together, then each first branch's exact ids.  A trace steps one
+    symbol per call, so that it can log every range.
     """
     if plan.dead:
         return 0
@@ -238,18 +245,23 @@ def execute_plan(
         lo, hi = fm.id_interval_range(*grammar.prefix_range(lb.anchor))
         if trace:
             trace.log("anchor", lb.anchor, (lo, hi))
-        if lb.exact_ids:
-            lo, hi, _ = _walk(fm, lo, hi, lb.exact_ids, trace)
-        if core:
-            lo, hi, steps = _walk(fm, lo, hi, core, trace)
-            if trace and steps:
+            lo, hi, _ = _traced_walk(fm, lo, hi, lb.exact_ids, trace)
+            lo, hi, steps = _traced_walk(fm, lo, hi, core, trace)
+            if steps:
                 trace.core_traversals.append((steps, steps == len(core)))
+        else:
+            ids = core + lb.exact_ids
+            if ids:
+                lo, hi = fm.backward_step(lo, hi, ids)
         if lo > hi:
             continue
         for fb in first_branches:
             a, b = lo, hi
             if fb.exact_ids:
-                a, b, _ = _walk(fm, lo, hi, fb.exact_ids, trace)
+                if trace:
+                    a, b, _ = _traced_walk(fm, lo, hi, fb.exact_ids, trace)
+                else:
+                    a, b = fm.backward_step(lo, hi, fb.exact_ids)
                 if a > b:
                     continue
             q = fb.suffix_query

@@ -17,7 +17,9 @@ run starts by the lower end, since every earlier run of the symbol ends
 before it; only otherwise do they search the earlier runs.  On repetitive
 text the run found for the upper end usually starts by the lower end, so
 most steps take one binary search; the counter still charges two rank
-calls per step.
+calls per step.  ``backward_step`` walks a whole symbol sequence in one
+call, with the arrays in locals and the counter charged once at the end,
+so a search pays one method call per walk, not one per symbol.
 Queries read the arrays through memoryviews, so they index to plain ints
 and call ``bisect`` without any numpy dispatch.  The same structure
 serves the raw-text baseline index and the rewritten-text index.
@@ -128,42 +130,60 @@ class RLFMIndex:
             return 1, 0
         return self.C[lo_id] + 1, self.C[hi_id + 1]
 
-    def backward_step(self, lo: int, hi: int, c: int) -> tuple[int, int]:
-        """Extend the matched string one symbol to the left.
+    def backward_step(self, lo: int, hi: int, symbols) -> tuple[int, int]:
+        """Extend the matched string leftward by ``symbols``, given in text order.
 
-        The new range is C[c] + rank(c, i) at i = lo - 1 and i = hi: two
-        rank calls to the counter, inlined because this is the inner loop
-        of every search.  One bisect over c's run starts finds c's last run
-        starting by hi.  When that run also starts by lo, the same run gives
-        rank(c, lo - 1), as every earlier run of c ends before it starts;
-        only otherwise does a second bisect search the earlier runs.
+        Steps through the symbols right to left in this one frame and stops
+        at the first empty range; the counter is charged once at the end,
+        one step and two rank calls per step taken, the step that empties
+        the range included.  An empty input range, or a symbol outside the
+        alphabet, gives ``(1, 0)`` and charges that step nothing.
+
+        Each step's new range is C[c] + rank(c, i) at i = lo - 1 and i = hi,
+        inlined because this is the inner loop of every search.  One bisect
+        over c's run starts finds c's last run starting by hi.  When that run
+        also starts by lo, the same run gives rank(c, lo - 1), as every
+        earlier run of c ends before it starts; only otherwise does a second
+        bisect search the earlier runs.
         """
-        if lo > hi or c < 0 or c >= self.alphabet_size:
+        if lo > hi:
             return 1, 0
-        self.stats.step_calls += 1
-        self.stats.rank_calls += 2
         if hi > self.total_length:
-            hi = self.total_length  # a lo past it then caps to an empty range below
-        cstarts, mass = self.cstarts, self.mass
-        a = self.first[c]
-        j = bisect_right(cstarts, hi, a, self.first[c + 1]) - 1  # c's last run starting by hi
-        if j < a:
-            return mass[a] + 1, mass[a]
-        start, end = cstarts[j], mass[j + 1]
-        # rank as in rank(), with its min() spelt out as a comparison,
-        # which is cheaper than a builtin call in this loop
-        new_hi = mass[j] + hi - start + 1
-        if new_hi > end:
-            new_hi = end
-        if start > lo:  # row lo - 1 lies before run j: search c's earlier runs
-            j = bisect_right(cstarts, lo - 1, a, j) - 1
+            hi = self.total_length  # a lo past it then steps to an empty range
+        cstarts, mass, first = self.cstarts, self.mass, self.first
+        sigma = self.alphabet_size
+        steps = 0
+        for c in reversed(symbols):
+            if c < 0 or c >= sigma:
+                lo, hi = 1, 0
+                break
+            steps += 1
+            a = first[c]
+            j = bisect_right(cstarts, hi, a, first[c + 1]) - 1  # c's last run starting by hi
             if j < a:
-                return mass[a] + 1, new_hi
+                lo, hi = mass[a] + 1, mass[a]
+                break
             start, end = cstarts[j], mass[j + 1]
-        new_lo = mass[j] + lo - start  # rank(c, lo - 1)
-        if new_lo > end:
-            new_lo = end
-        return new_lo + 1, new_hi
+            # rank as in rank(), with its min() spelt out as a comparison,
+            # which is cheaper than a builtin call in this loop
+            hi = mass[j] + hi - start + 1
+            if hi > end:
+                hi = end
+            if start > lo:  # row lo - 1 lies before run j: search c's earlier runs
+                j = bisect_right(cstarts, lo - 1, a, j) - 1
+                if j < a:  # rank(c, lo - 1) is 0, and hi lies past C[c]
+                    lo = mass[a] + 1
+                    continue
+                start, end = cstarts[j], mass[j + 1]
+            lo = mass[j] + lo - start + 1  # rank(c, lo - 1) + 1
+            if lo > end:
+                lo = end + 1
+            if lo > hi:
+                break
+        stats = self.stats
+        stats.step_calls += steps
+        stats.rank_calls += 2 * steps
+        return lo, hi
 
     def count_symbols_in_range(self, lo: int, hi: int, ranks: range, rank_of, by_rank) -> int:
         """Total occurrences within the row range of the symbols ranked in ``ranks``.
@@ -216,15 +236,11 @@ class RLFMIndex:
         return total
 
     def count_plain(self, codes) -> int:
-        """Baseline count by one backward step per pattern symbol.
+        """Baseline count: one backward_step call walks the whole pattern.
 
         ``codes`` is any sequence of ints, such as the code bytes from
         ``DenseAlphabet.encode``.  Starting from the full row range makes
         the cost exactly two rank calls per symbol when the pattern occurs.
         """
-        lo, hi = 1, self.total_length
-        for c in reversed(codes):
-            lo, hi = self.backward_step(lo, hi, c)
-            if lo > hi:
-                return 0
-        return hi - lo + 1
+        lo, hi = self.backward_step(1, self.total_length, codes)
+        return hi - lo + 1 if lo <= hi else 0

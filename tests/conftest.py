@@ -1,11 +1,13 @@
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
-from gfi.index import build_index, load_index, section_sizes
+from gfi.index import build_index, load_index, save_index, section_sizes
 from gfi.oracle import gen_artificial
 from gfi.rlfm import RLFMIndex
+from gfi.shorttrie import ShortPatternTrie
 
 
 @pytest.fixture(scope="session")
@@ -72,3 +74,21 @@ def corrupt_trie_rows(blob: bytes, damage: str) -> bytes:
     else:
         out[child_counts] += 1  # the root's
     return reseal(bytes(out))
+
+
+def relabelled_trie_index(text: bytes, lam: int, damage: str) -> bytes:
+    """The index file of ``text`` at ``lam`` with a well-formed but wrong
+    trie, sealed by ``save_index``: the root's last edge, or node 1's last
+    child edge (depth 2), relabelled to sigma + 1, which keeps every sibling
+    list increasing; or the root's first two children's counts swapped."""
+    idx = build_index(text, lam, with_baseline=True)
+    trie = idx.trie
+    edges, counts = np.array(trie.edges), np.array(trie.counts)
+    if damage == "root_edge":
+        edges[trie.kids[1] - 1] = idx.alphabet.size + 1
+    elif damage == "deep_edge":
+        edges[trie.kids[2] - 1] = idx.alphabet.size + 1
+    else:
+        counts[[0, 1]] = counts[[1, 0]]
+    idx.trie = ShortPatternTrie(trie.child_counts, edges, counts)
+    return save_index(idx)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import corrupt_trie_rows
+from conftest import corrupt_trie_rows, relabelled_trie_index
 from gfi.cli import main
 from gfi.grammar import Grammar
 from gfi.index import build_index, save_index, save_index_file
@@ -207,6 +207,17 @@ def test_count_rejects_corrupt_trie_section(tmp_path, capsys, damage):
     status, out, err = run(capsys, "count", "-x", str(idx_file), "-p", str(pat_file))
     assert status == 2 and out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize("damage", ["root_edge", "deep_edge", "swapped_counts"])
+def test_count_rejects_wrong_trie_edges_and_counts(tmp_path, capsys, damage):
+    idx_file = tmp_path / "t.gfi"
+    idx_file.write_bytes(relabelled_trie_index(b"bacabacaacbcbc" * 5, 4, damage))
+    pat_file = tmp_path / "p.txt"
+    pat_file.write_bytes(b"a\nc\n")
+    status, out, err = run(capsys, "count", "-x", str(idx_file), "-p", str(pat_file))
+    assert status == 2 and out == ""
+    assert err.startswith("error: corrupt index file:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("damage", ["flipped_byte", "swapped_rules"])

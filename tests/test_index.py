@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import corrupt_trie_rows, reseal
+from conftest import corrupt_trie_rows, relabelled_trie_index, reseal
 from gfi.alphabet import DenseAlphabet
 from gfi.errors import CorruptIndexError, InvalidParameterError
 from gfi.grammar import Grammar
@@ -136,6 +136,25 @@ def test_rejects_corrupt_trie_section(damage):
         reason = "sum to the node count"
     with pytest.raises(CorruptIndexError, match=reason):
         load_index(corrupt_trie_rows(blob, damage))
+
+
+@pytest.mark.parametrize(
+    "damage, reason",
+    [
+        ("root_edge", "trie edge lies outside the alphabet codes 1..3"),
+        ("deep_edge", "trie edge lies outside the alphabet codes 1..3"),
+        ("swapped_counts", "depth-1 counts disagree"),
+    ],
+)
+def test_rejects_wrong_trie_edges_and_counts(damage, reason):
+    """Each damage keeps the trie well formed, and without the edge and
+    depth-1 count checks the file loads and miscounts: count(b"c") gives 0
+    instead of 25, count(b"ac") 0 instead of 15, and count(b"a") 20
+    instead of 25."""
+    text = b"bacabacaacbcbc" * 5
+    assert (text.count(b"a"), text.count(b"b"), text.count(b"c")) == (25, 20, 25)
+    with pytest.raises(CorruptIndexError, match=reason):
+        load_index(relabelled_trie_index(text, 4, damage))
 
 
 def test_baseline_requires_flag():

@@ -17,6 +17,7 @@ from gfi.query import (
     plan_branches,
     trailing_run,
 )
+from gfi.rlfm import RLFMIndex
 
 
 def test_count_examples(running_example_index):
@@ -186,6 +187,46 @@ def test_rank_counters_match_recorded_values(artificial_text):
                 pat = bytes(rng.choices(b"ACGT", k=m))
             total += count(idx, pat)
         assert (idx.rlfm1.stats.rank_calls, idx.rlfm1.stats.step_calls, total) == expected
+
+
+def test_step_spans_charge_two_rank_calls_per_step(artificial_text, monkeypatch):
+    """A wrapper around ``RLFMIndex.backward_step``, as the benchmark's tracer
+    installs, sees the counter move by exactly two rank calls per step over
+    all its calls, on gfi and on the baseline; and a QueryTrace, which steps
+    one symbol per call, charges what one call per walk does."""
+    deltas = []
+    step = RLFMIndex.backward_step
+
+    def spanned(self, lo, hi, symbols):
+        before = self.stats.rank_calls
+        out = step(self, lo, hi, symbols)
+        deltas.append(self.stats.rank_calls - before)
+        return out
+
+    monkeypatch.setattr(RLFMIndex, "backward_step", spanned)
+    text = artificial_text[:100_000]
+    rng = random.Random(31)
+    for lam in (4, 8):
+        idx = build_index(text, lam, with_baseline=True)
+        patterns = []
+        for _ in range(150):
+            m = rng.randint(lam, 200)
+            i = rng.randrange(len(text) - m + 1)
+            random_pattern = bytes(rng.choices(b"ACGT", k=m))
+            patterns.append(text[i : i + m] if rng.random() < 0.8 else random_pattern)
+        for fm, counter in ((idx.rlfm1, idx.count), (idx.rlfm0, idx.count_baseline)):
+            deltas.clear()
+            fm.stats.reset()
+            assert sum(map(counter, patterns)) > 0
+            assert sum(deltas) == 2 * fm.stats.step_calls > 0
+        assert len(deltas) == len(patterns)  # the baseline walks each pattern in one call
+        for pattern in patterns:
+            seen = []
+            for trace in (None, QueryTrace()):
+                idx.rlfm1.stats.reset()
+                got = count(idx, pattern, trace)
+                seen.append((got, idx.rlfm1.stats.rank_calls, idx.rlfm1.stats.step_calls))
+            assert seen[0] == seen[1], pattern
 
 
 def test_count_single_factor_patterns():

@@ -26,7 +26,7 @@ def test_empty_bwt_has_no_runs():
     fm = RLFMIndex.from_bwt(np.array([], dtype=np.int64))
     assert fm.run_count == 0
     assert fm.total_length == 0
-    assert fm.backward_step(1, 0, 0) == (1, 0)
+    assert fm.backward_step(1, 0, (0,)) == (1, 0)
     assert fm.count_plain([1]) == 0
 
 
@@ -42,11 +42,11 @@ def test_rank_examples():
 
 def test_backward_step_examples():
     fm = RLFMIndex.from_bwt(LEVEL1_BWT)
-    step1 = fm.backward_step(2, 5, 3)
+    step1 = fm.backward_step(2, 5, (3,))
     assert step1 == (4, 5)
-    step2 = fm.backward_step(*step1, 2)
+    step2 = fm.backward_step(*step1, (2,))
     assert step2 == (3, 3)
-    lo, hi = fm.backward_step(1, 0, 3)
+    lo, hi = fm.backward_step(1, 0, (3,))
     assert lo > hi
 
 
@@ -76,7 +76,7 @@ def test_initial_range_level0():
     fm = RLFMIndex.from_bwt(bwt_of(list(to_codes(b"bacabacaacbcbc"))))
     rng_a = fm.id_interval_range(1, 1)
     assert rng_a == (2, 6)
-    rng_ca = fm.backward_step(*rng_a, 3)
+    rng_ca = fm.backward_step(*rng_a, (3,))
     assert rng_ca == (12, 13)
     lo, hi = fm.id_interval_range(9, 9)
     assert lo > hi
@@ -235,7 +235,7 @@ def test_backward_step_matches_suffix_filter():
             w = [rng.randint(1, sigma) for _ in range(m)]
             base = (range_of(w) or (1, 0)) if m else (1, fm.total_length)
             for c in range(1, sigma + 1):
-                lo, hi = fm.backward_step(*base, c)
+                lo, hi = fm.backward_step(*base, (c,))
                 expect = range_of([c] + w)
                 if expect is None:
                     assert lo > hi
@@ -337,7 +337,7 @@ def test_grouped_rank_at_run_boundaries():
                     continue
                 for c in range(fm.alphabet_size):
                     want = (below[c] + rank(c, p) + 1, below[c] + rank(c, hi))
-                    assert fm.backward_step(p + 1, hi, c) == want, (s, c, p + 1, hi)
+                    assert fm.backward_step(p + 1, hi, (c,)) == want, (s, c, p + 1, hi)
                     tally("step", c, p + 1, hi)
                 span = spanned_runs(fm.run_lengths.tolist(), p + 1, hi)
                 for width in (1, 2):
@@ -362,3 +362,50 @@ def test_grouped_rank_at_run_boundaries():
     assert single_run_symbols >= 40 and unit_runs >= 500
     assert same_run["step"] >= 20000 and earlier_run["step"] >= 50000
     assert same_run["count"] >= 1500 and earlier_run["count"] >= 5000
+
+
+def test_walk_equals_fold_of_single_steps():
+    """One backward_step call over a symbol sequence returns what one-symbol
+    calls, stopping at the first empty range, return, and charges the same:
+    two rank calls per step taken, the step that empties the range included,
+    and nothing for an empty start range, a symbol outside the alphabet, or
+    any symbol after the range is empty."""
+    rng = random.Random(23)
+    seen = dict.fromkeys(("empty_start", "hi_past_end", "bad_symbol", "emptied", "survived"), 0)
+    for s in boundary_texts(rng):
+        fm = RLFMIndex.from_bwt(bwt_of(np.array(s)))
+        n, sigma = fm.total_length, fm.alphabet_size
+        for _ in range(60):
+            i = rng.randint(0, len(s) - 1)
+            symbols = s[i : i + rng.randint(0, 8)]
+            if rng.random() < 0.4:
+                symbols = [rng.randint(1, sigma - 1) for _ in symbols]  # may not occur
+            if symbols and rng.random() < 0.2:
+                symbols[rng.randrange(len(symbols))] = rng.choice([-1, sigma, sigma + 5])
+            lo = rng.randint(0, n + 1)
+            hi = rng.randint(lo - 2, n + 3)
+            a, b, charged = lo, hi, 0
+            for c in reversed(symbols):
+                calls = fm.stats.rank_calls
+                steps = fm.stats.step_calls
+                took = a <= b and 0 <= c < sigma
+                a, b = fm.backward_step(a, b, (c,))
+                assert fm.stats.rank_calls - calls == 2 * took
+                assert fm.stats.step_calls - steps == took
+                charged += took
+                if a > b:
+                    seen["bad_symbol" if not 0 <= c < sigma else
+                         "empty_start" if not charged else "emptied"] += 1
+                    break
+            else:
+                seen["survived"] += bool(symbols)
+            calls, steps = fm.stats.rank_calls, fm.stats.step_calls
+            got = fm.backward_step(lo, hi, symbols)
+            if symbols:
+                assert got == (a, b), (s, lo, hi, symbols)
+            else:
+                assert got == ((1, 0) if lo > hi else (lo, min(hi, n)))
+            assert fm.stats.rank_calls - calls == 2 * charged
+            assert fm.stats.step_calls - steps == charged
+            seen["hi_past_end"] += hi > n and charged > 0
+    assert min(seen.values()) >= 100, seen
