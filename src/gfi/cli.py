@@ -128,6 +128,8 @@ def _cmd_stats(args) -> int:
     print("lambda,%d" % idx.grammar.lam)
     for key, value in _summary(idx).items():
         print("%s,%d" % (key, value))
+    print("trie_nodes,%d" % idx.trie.node_count)
+    print("trie_levels,%d" % idx.trie.height)
     for name, size in sizes.items():
         print("bytes_%s,%d" % (name, size))
     return 0

@@ -1,28 +1,33 @@
-"""Index assembly and the on-disk format (version 2).
+"""Index assembly and the on-disk format (version 3).
 
 The serialized file stores only primary data: the alphabet map, the rule
 strings in lexicographic order, the run-length compressed BWT of the
-rewritten text, the short-pattern trie nodes, and optionally the baseline
-BWT runs.  The level-1 rank structures, the reversed rules with their
-colex order and ranks, and the trie's child slices are rebuilt on load,
-so serialize -> load -> serialize is byte-identical.  Counting never
-reads the baseline, so its runs are only checked at load and its rank
-layout is built on its first query.
+rewritten text, the short-pattern trie nodes level by level, and
+optionally the baseline BWT runs.  The level-1 rank structures, the
+reversed rules with their colex order and ranks, and the trie's child
+slices are rebuilt on load, so serialize -> load -> serialize is
+byte-identical.  Counting never reads the baseline, so its runs are only
+checked at load and its rank layout is built on its first query.
 
 All multi-byte integers are little-endian.  The rules are one byte string
 in which each rule ends with a 0 byte, a code no text uses, so one
 ``bytes.split`` recovers them.  Each run and trie column is stored behind
 one width byte at the narrowest of 1, 2, 4 or 8 bytes per value that
 holds its largest value, so its values are limited only by int64; it
-loads with one ``np.frombuffer`` and keeps that width in memory.  A
-CRC-32 of everything before it ends the file.  Loading checks the
-structure first and the checksum last, and every file it rejects raises
-``CorruptIndexError``.
+loads with one ``np.frombuffer`` and keeps that width in memory.  The
+trie is one such column set per level, so each level's columns take the
+width of that level's own values: only the few shallow nodes have large
+counts, and the deepest level's nodes, which have no children, store no
+child counts.  Loading joins the levels into one read-only column each,
+at the widest level's width.  A CRC-32 of everything before it ends the
+file.  Loading checks the structure first and the checksum last, and
+every file it rejects raises ``CorruptIndexError``.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import operator
 import struct
 import zlib
@@ -40,8 +45,11 @@ from gfi.rlfm import RLFMIndex
 from gfi.shorttrie import ShortPatternTrie
 
 MAGIC = b"GFI1"
-VERSION = 2
+VERSION = 3
 MAX_LAMBDA = 255  # the header stores the chunk size in one byte
+# The stored column widths and their dtypes, built once: the trie's
+# per-level columns make a dozen or more columns per load.
+COLUMN_DTYPES = {width: np.dtype("<u%d" % width) for width in (1, 2, 4, 8)}
 
 
 @dataclass
@@ -129,16 +137,58 @@ def _read_columns(buf: io.BytesIO, count: int) -> list[np.ndarray]:
     (rows,) = _unpack(buf, "<I")
     columns = []
     for _ in range(count):
-        (width,) = _unpack(buf, "<B")
-        if width not in (1, 2, 4, 8):
+        width = _take(buf, 1)[0]
+        if width not in COLUMN_DTYPES:
             raise ValueError("column width %d is not 1, 2, 4 or 8" % width)
-        column = np.frombuffer(_take(buf, rows * width), dtype="<u%d" % width)
+        column = np.frombuffer(_take(buf, rows * width), dtype=COLUMN_DTYPES[width])
         if width == 8:
             if rows and int(column.max()) >> 63:
                 raise ValueError("a column value exceeds int64")
             column = column.view("<i8")
         columns.append(column)
     return columns
+
+
+def _trie_levels(trie: ShortPatternTrie) -> bytes:
+    """The trie's level count (u8), then per level the columns of its
+    nodes' edges and counts and, above the deepest level, child counts.
+    The root's child count is level 1's row count, so it is not stored."""
+    ends = trie.level_ends
+    out = [struct.pack("<B", trie.height)]
+    for d in range(1, trie.height + 1):
+        a, b = ends[d - 1], ends[d]
+        columns = [trie.edges[a:b], trie.counts[a:b]]
+        if d < trie.height:
+            columns.append(trie.child_counts[a + 1 : b + 1])
+        out.append(_columns(*columns))
+    return b"".join(out)
+
+
+def _read_trie(buf: io.BytesIO, height: int, sigma: int) -> ShortPatternTrie:
+    """The ``height`` levels written by ``_trie_levels``, each column joined
+    across the levels at the widest one's width and left read-only, as a
+    single stored column would be.  Checked so that the trie is exactly
+    that deep, with the levels the file stores: no level is empty, and
+    each level's child counts sum to the next level's row count."""
+    levels = [_read_columns(buf, 3 if d < height else 2) for d in range(1, height + 1)]
+    rows = [len(level[0]) for level in levels]
+    if 0 in rows:
+        raise ValueError("trie level %d holds no nodes" % (rows.index(0) + 1))
+    columns = [[level[0] for level in levels], [level[1] for level in levels], []]
+    if levels:  # the root's child count, the stored ones, 0 for the deepest but its last node
+        columns[2] = [np.array(rows[:1], dtype=np.min_scalar_type(rows[0]))]
+        columns[2] += [level[2] for level in levels[:-1]]
+        columns[2].append(np.zeros(rows[-1] - 1, dtype=np.uint8))
+    for i, parts in enumerate(columns):
+        columns[i] = np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
+        columns[i].flags.writeable = False
+    edges, counts, child_counts = columns
+    if len(edges) and not 1 <= edges.min() <= edges.max() <= sigma:
+        raise ValueError("a trie edge lies outside the alphabet codes 1..%d" % sigma)
+    trie = ShortPatternTrie(child_counts, edges, counts)
+    if trie.level_ends != list(itertools.accumulate(rows, initial=0)):
+        raise ValueError("the trie's child counts do not sum to each next level's row count")
+    return trie
 
 
 def _read_runs(buf: io.BytesIO, top: int, what: str, symbols: str) -> tuple[np.ndarray, ...]:
@@ -165,7 +215,6 @@ def _read_runs(buf: io.BytesIO, top: int, what: str, symbols: str) -> tuple[np.n
 def _sections(index: TextIndex) -> list[tuple[str, bytes]]:
     """The file's sections in file order, each as (name, serialized bytes)."""
     rules = b"".join(s + b"\0" for s in index.grammar.rhs)
-    trie = index.trie
     baseline = b"\x00"
     if index.baseline_runs is not None:
         baseline = b"\x01" + _columns(*index.baseline_runs)
@@ -174,7 +223,7 @@ def _sections(index: TextIndex) -> list[tuple[str, bytes]]:
         ("alphabet", struct.pack("<I", index.alphabet.size) + index.alphabet.code_to_byte),
         ("grammar", struct.pack("<I", len(rules)) + rules),
         ("level1_bwt", _columns(index.rlfm1.run_heads, index.rlfm1.run_lengths)),
-        ("short_trie", _columns(trie.child_counts, trie.edges, trie.counts)),
+        ("short_trie", _trie_levels(index.trie)),
         ("baseline", baseline),
     ]
     crc = 0
@@ -192,8 +241,8 @@ def _read_index(data: bytes) -> TextIndex:
     if _take(buf, 4) != MAGIC:
         raise CorruptIndexError("not a gfi index file")
     version, lam = _unpack(buf, "<BB")
-    if version == 1:
-        raise CorruptIndexError("index file is format version 1; rebuild the index")
+    if version in (1, 2):
+        raise CorruptIndexError("index file is format version %d; rebuild the index" % version)
     if version != VERSION:
         raise CorruptIndexError("unsupported index format version %d" % version)
     if lam < 1:
@@ -219,10 +268,19 @@ def _read_index(data: bytes) -> TextIndex:
     gram = grammar_mod.Grammar(lam=lam, rhs=rhs)
 
     rlfm1 = RLFMIndex(*_read_runs(buf, len(rhs), "level-1", "rules"))
-    child_counts, edges, counts = _read_columns(buf, 3)
-    if len(edges) and not 1 <= edges.min() <= edges.max() <= sigma:
-        raise ValueError("a trie edge lies outside the alphabet codes 1..%d" % sigma)
-    trie = ShortPatternTrie(child_counts, edges, counts)
+    freqs = np.diff(rlfm1.C)[1:]  # per rule id; the terminator dropped
+    n = int(freqs @ lengths)
+    if rlfm1.total_length * lam >> 63:  # only then can that int64 sum wrap
+        n = sum(map(operator.mul, freqs.tolist(), lengths.tolist()))
+        if n >> 63:
+            raise ValueError("the level-1 runs give a text length past int64")
+
+    # The trie holds every substring shorter than lam, so its depth pins lam
+    # for any text of at least lam - 1 characters.
+    (height,) = _unpack(buf, "<B")
+    if height != min(lam - 1, n):
+        raise ValueError("short-pattern trie depth %d does not match chunk size %d" % (height, lam))
+    trie = _read_trie(buf, height, sigma)
     (has_baseline,) = _unpack(buf, "<B")
     if has_baseline > 1:
         raise ValueError("baseline flag %d is not 0 or 1" % has_baseline)
@@ -231,18 +289,6 @@ def _read_index(data: bytes) -> TextIndex:
     if buf.tell() != len(data):
         raise ValueError("%d trailing bytes after the checksum" % (len(data) - buf.tell()))
 
-    freqs = np.diff(rlfm1.C)[1:]  # per rule id; the terminator dropped
-    n = int(freqs @ lengths)
-    if rlfm1.total_length * lam >> 63:  # only then can that int64 sum wrap
-        n = sum(map(operator.mul, freqs.tolist(), lengths.tolist()))
-        if n >> 63:
-            raise ValueError("the level-1 runs give a text length past int64")
-    # The trie holds every substring shorter than lam, so its depth pins lam
-    # for any text of at least lam - 1 characters.
-    if trie.height != min(lam - 1, n):
-        raise ValueError(
-            "short-pattern trie depth %d does not match chunk size %d" % (trie.height, lam)
-        )
     # Each code's text frequency is the sum, over the rules, of the rule's
     # level-1 frequency times the code's count in it; the trie's depth-1
     # counts (none at lam 1) must give the same.  np.add.at keeps the sums
@@ -251,7 +297,8 @@ def _read_index(data: bytes) -> TextIndex:
         freq_of_code = np.zeros(sigma + 1, dtype=np.int64)
         np.add.at(freq_of_code, np.frombuffer(rules, dtype=np.uint8), np.repeat(freqs, lengths + 1))
         depth1 = np.zeros(sigma + 1, dtype=np.int64)
-        depth1[edges[: trie.kids[1]]] = counts[: trie.kids[1]]
+        level1 = slice(0, trie.kids[1])
+        depth1[np.asarray(trie.edges)[level1]] = np.asarray(trie.counts)[level1]
         if not np.array_equal(depth1[1:], freq_of_code[1:]):
             raise ValueError("the level-1 runs and the trie's depth-1 counts disagree")
     if baseline is not None and baseline[1].sum(dtype=np.int64) != n + 1:

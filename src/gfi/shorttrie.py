@@ -35,8 +35,10 @@ class ShortPatternTrie:
         n = len(edges)
         if not n == len(child_counts) == len(counts):
             raise ValueError("trie child-count, edge and count arrays differ in length")
-        if np.any(child_counts < 0) or child_counts.sum() != n:
-            raise ValueError("trie child counts must be nonnegative and sum to the node count")
+        # No count above n, so their int64 sum cannot wrap back to n.
+        in_range = not n or 0 <= child_counts.min() <= child_counts.max() <= n
+        if not in_range or child_counts.sum() != n:
+            raise ValueError("trie child counts must lie in 0..n and sum to the node count n")
         # Node p's children are the ids kids[p]+1 .. kids[p+1], and their
         # edges are edges[kids[p]:kids[p+1]]; node ids start at 1.
         kids = np.zeros(n + 2, dtype=np.int64)
@@ -51,11 +53,13 @@ class ShortPatternTrie:
         self.child_counts = memoryview(child_counts)
         self.edges = memoryview(edges)
         self.counts = memoryview(counts)
-        # Ids come level by level, so the last node is a deepest one.
-        self.height, node = 0, n
-        while node:
-            node = int(parents[node - 1])
-            self.height += 1
+        # Ids come level by level: level d is nodes level_ends[d-1]+1 ..
+        # level_ends[d], and level d+1 ends with the last child of level d's
+        # last node.  Every node's parent comes before it, so each step grows.
+        self.level_ends = [0]
+        while self.level_ends[-1] < n:
+            self.level_ends.append(int(kids[self.level_ends[-1] + 1]))
+        self.height = len(self.level_ends) - 1
 
     @classmethod
     def build(cls, text: np.ndarray, lam: int) -> "ShortPatternTrie":

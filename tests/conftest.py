@@ -58,21 +58,22 @@ def reseal(blob: bytes) -> bytes:
 def corrupt_trie_rows(blob: bytes, damage: str) -> bytes:
     """The index file with its first two trie nodes (the level-1 nodes for
     codes 1 and 2) given swapped edge codes, or the second node the first
-    node's edge code, or the root one child too many; resealed."""
+    node's edge code, or the second node one child too many; resealed."""
     sizes = section_sizes(load_index(blob))
     trie = sum(sizes[name] for name in ("header", "alphabet", "grammar", "level1_bwt"))
-    (rows,) = struct.unpack_from("<I", blob, trie)
-    child_counts = trie + 5  # after the row count and the column's width byte
-    edges = child_counts + rows + 1
-    assert blob[child_counts - 1] == blob[edges - 1] == 1  # both columns one byte wide
-    assert blob[edges : edges + 2] == b"\x01\x02"
+    (rows,) = struct.unpack_from("<I", blob, trie + 1)  # level 1's, after the level count
+    edges = trie + 6  # after the row count and the column's width byte
+    counts = edges + rows + 1
+    child_counts = counts + rows * blob[counts - 1] + 1
+    assert blob[edges - 1] == blob[child_counts - 1] == 1  # both columns one byte wide
+    assert blob[edges : edges + 3] == b"\x01\x02\x03"
     out = bytearray(blob)
     if damage == "swapped":
         out[edges : edges + 2] = b"\x02\x01"
     elif damage == "duplicated":
         out[edges + 1] = 1
     else:
-        out[child_counts] += 1  # the root's
+        out[child_counts + 1] += 1  # b has children a and c; a already has all three
     return reseal(bytes(out))
 
 

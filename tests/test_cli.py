@@ -301,11 +301,13 @@ sigma,3
 sigma1,5
 r1,7
 r0,9
+trie_nodes,19
+trie_levels,3
 bytes_header,6
 bytes_alphabet,7
 bytes_grammar,19
 bytes_level1_bwt,20
-bytes_short_trie,64
+bytes_short_trie,69
 bytes_baseline,%d
 bytes_checksum,4
 bytes_total,%d
@@ -327,7 +329,7 @@ def test_stats_lines_and_no_baseline_build(tmp_path, capsys, rlfm_inits, baselin
     pat_file.write_bytes(b"cabaca\nca\n")
     status, out, _ = run(capsys, "stats", "-x", str(idx_file))
     assert status == 0 and len(rlfm_inits) == 1
-    want = STATS % ((25, 145) if baseline else (1, 121))
+    want = STATS % ((25, 150) if baseline else (1, 126))
     if not baseline:
         want = want.replace("r0,9\n", "")
     assert out == want

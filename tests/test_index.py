@@ -94,6 +94,14 @@ def test_rejects_version_1_with_rebuild_hint():
         load_index(blob[:4] + b"\x01" + blob[5:])
 
 
+def test_rejects_version_2_with_rebuild_hint():
+    """Version 2 stored the trie as one column set; version 3 stores one per level."""
+    blob = save_index(build_index(b"abc", 2))
+    assert blob[4] == 3
+    with pytest.raises(CorruptIndexError, match="version 2; rebuild the index"):
+        load_index(blob[:4] + b"\x02" + blob[5:])
+
+
 def test_rejects_bad_lambda():
     with pytest.raises(InvalidParameterError):
         build_index(b"abc", 0)
@@ -155,6 +163,76 @@ def test_rejects_wrong_trie_edges_and_counts(damage, reason):
     assert (text.count(b"a"), text.count(b"b"), text.count(b"c")) == (25, 20, 25)
     with pytest.raises(CorruptIndexError, match=reason):
         load_index(relabelled_trie_index(text, 4, damage))
+
+
+def _trie_levels_of(blob: bytes) -> list[list[list[int]]]:
+    """The loaded trie's columns cut by level: per level its edges and
+    counts and, above the deepest, its nodes' child counts."""
+    trie = load_index(blob).trie
+    ends = trie.level_ends
+    child_counts, edges, counts = (
+        np.asarray(column).tolist() for column in (trie.child_counts, trie.edges, trie.counts)
+    )
+    levels = [
+        [edges[a:b], counts[a:b], child_counts[a + 1 : b + 1]] for a, b in zip(ends, ends[1:])
+    ]
+    levels[-1].pop()
+    return levels
+
+
+def _with_trie_levels(blob: bytes, levels) -> bytes:
+    """The index file with its trie section written by hand from ``levels``,
+    every column at width 8; resealed."""
+    sections = _sections_of(blob)
+    out = [bytes([len(levels)])]
+    for columns in levels:
+        out.append(struct.pack("<I", len(columns[0])))
+        out += [b"\x08" + np.asarray(column, dtype="<u8").tobytes() for column in columns]
+    sections["short_trie"] = b"".join(out)
+    return reseal(b"".join(sections.values()))
+
+
+def _empty_levels(levels):
+    """Level 1 without children and levels 2 and 3 empty, which agree on
+    every row count; as a trie of depth 1 it would count every pattern of
+    two or three codes 0."""
+    levels[0][2] = [0, 0, 0]
+    levels[1:] = [[[], [], []], [[], []]]
+
+
+def _moved_child(levels):
+    """Node c's second child moved to node aa, which keeps the total and
+    every sibling list increasing; as one trie 4 levels deep it would count
+    ``cb`` 0 instead of 14 and ``aab`` 14 instead of 0."""
+    levels[0][2][2] -= 1
+    levels[1][2][0] += 1
+
+
+def _wrapping_children(levels):
+    """Level 1's child counts 2**63 - 1, 2**63 - 1 and 9, which sum in
+    int64 to 7, level 2's row count, and in all to the node count 20; the
+    child slices built from them crashed the interpreter."""
+    levels[0][2] = [2**63 - 1, 2**63 - 1, len(levels[1][0]) + 2]
+    assert np.sum(levels[0][2], dtype=np.int64) == len(levels[1][0])
+
+
+@pytest.mark.parametrize(
+    "damage, reason",
+    [
+        (_empty_levels, "trie level 2 holds no nodes"),
+        (_moved_child, "child counts do not sum to each next level's row count"),
+        (_wrapping_children, "lie in 0..n and sum to the node count"),
+    ],
+    ids=["empty_level", "moved_child", "wrapping_children"],
+)
+def test_rejects_inconsistent_trie_levels(fuzz_blob, damage, reason):
+    _, blob = fuzz_blob
+    levels = _trie_levels_of(blob)
+    assert [len(level[0]) for level in levels] == [3, 7, 10]
+    assert save_index(load_index(_with_trie_levels(blob, levels))) == blob
+    damage(levels)
+    with pytest.raises(CorruptIndexError, match=reason):
+        load_index(_with_trie_levels(blob, levels))
 
 
 def test_baseline_requires_flag():
@@ -279,35 +357,43 @@ def _sections_of(blob: bytes) -> dict[str, bytes]:
     return out
 
 
-def _at_width_8(section: bytes, widen: set[int]) -> bytes:
-    """A run or trie section with the columns numbered in ``widen`` re-encoded
-    at 8 bytes per value; the values stay the same."""
-    (rows,) = struct.unpack_from("<I", section)
-    out, at = [section[:4]], 4
-    while at < len(section):
-        end = at + 1 + rows * section[at]  # the width byte, then the values
-        column = section[at:end]
-        if len(out) - 1 in widen:
-            values = np.frombuffer(column, dtype="<u%d" % column[0], offset=1)
-            column = b"\x08" + values.astype("<u8").tobytes()
-        out.append(column)
-        at = end
+def _at_width_8(section: bytes, widen: set[int], trie: bool = False) -> bytes:
+    """A run section, or a trie section of one column set per level behind
+    its level count, with the columns numbered in ``widen`` re-encoded at 8
+    bytes per value in every column set; the values stay the same.  A trie
+    level's columns are edge, count and, above the deepest, child count."""
+    height = section[0] if trie else 1
+    out, at = [section[:1]] if trie else [], 1 if trie else 0
+    for level in range(1, height + 1):
+        (rows,) = struct.unpack_from("<I", section, at)
+        out.append(section[at : at + 4])
+        at += 4
+        for number in range(3 if trie and level < height else 2):
+            end = at + 1 + rows * section[at]  # the width byte, then the values
+            column = section[at:end]
+            if number in widen:
+                values = np.frombuffer(column, dtype="<u%d" % column[0], offset=1)
+                column = b"\x08" + values.astype("<u8").tobytes()
+            out.append(column)
+            at = end
+    assert at == len(section)
     return b"".join(out)
 
 
 def test_columns_re_encoded_at_width_8_load_and_count_alike(fuzz_blob):
-    """Trie child counts and edges and level-1 heads at width 8, which
-    ``save_index`` never writes for such small values, load as int64 and
-    count exactly like the canonical file."""
+    """Trie edges and child counts on every level and level-1 heads at width
+    8, which ``save_index`` never writes for such small values, load as int64
+    and count exactly like the canonical file."""
     text, blob = fuzz_blob
     sections = _sections_of(blob)
     sections["level1_bwt"] = _at_width_8(sections["level1_bwt"], {0})
-    sections["short_trie"] = _at_width_8(sections["short_trie"], {0, 1})
+    sections["short_trie"] = _at_width_8(sections["short_trie"], {0, 2}, trie=True)
     wide = reseal(b"".join(sections.values()))
     assert len(wide) > len(blob)
     canonical, loaded = load_index(blob), load_index(wide)
     assert loaded.rlfm1.run_heads.dtype == np.int64
     assert np.asarray(loaded.trie.edges).dtype == np.int64
+    assert np.asarray(loaded.trie.child_counts).dtype == np.int64
     assert save_index(loaded) == blob
     patterns = sorted(_substrings(text, 12)) + [b"abcabc", b"ccc", b"d", b"aaaaaaaa"]
     for pattern in patterns:

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import to_codes
 from gfi.bwt import suffix_array
-from gfi.index import build_index, save_index, section_sizes
+from gfi.index import build_index, load_index, save_index, section_sizes
 from gfi.shorttrie import ShortPatternTrie
 
 
@@ -36,6 +36,9 @@ def test_rejects_malformed_node_arrays():
     # Node 1 would be its own child: the root has none.
     with pytest.raises(ValueError, match="sum to the node count"):
         ShortPatternTrie(child_counts=[0], edges=[1], counts=[1])
+    # Counts past n whose int64 sum wraps to n: their child slices crashed the interpreter.
+    with pytest.raises(ValueError, match="sum to the node count"):
+        ShortPatternTrie(child_counts=[2**63 - 1, 2**63 - 1, 5], edges=[1, 2, 3], counts=[1, 1, 1])
     with pytest.raises(ValueError, match="differ in length"):
         ShortPatternTrie(child_counts=[1, 1], edges=[1, 1], counts=[2])
     # Node 2's children would be nodes 2 and 3: a node listed before its parent.
@@ -171,20 +174,35 @@ def test_rejects_code_zero():
         ShortPatternTrie.build(np.array([1, 0, 2]), 3)
 
 
-# Node count and sha256 of the trie section, recorded before the build
-# packed levels into blocks.
+# Node count, sha256 of the format-3 trie section (one column set per
+# level), and sha256 of the built child-count, edge and count columns as
+# int64; the column digests were recorded before the file stored the trie
+# level by level, so they pin the build across that change.
 PINNED_TRIE_SECTIONS = {
-    4: (84, "f75416df0667bef3668fbcefe8468b2b14af5d6c604a743f8dbab5cc4e44675c"),
-    8: (12974, "a888e294639461cef1edade3b5c61ac200a57bc3107b151fe66ac540a86c8fb2"),
-    16: (129315, "50efd2a98c58e00ef6ecd93d562174c82a0e803f67c9bbf6b88b8cffffa30c51"),
+    4: (
+        84,
+        "822dc8890b545e29f744a37706af18f17235e67dca3ed406f2e9f86f2361c836",
+        "45893fdc3c15695b0ed311e67c9f2db0f87d8cbb404abb4b000c6b37b649efc1",
+    ),
+    8: (
+        12974,
+        "7bf65cdbd68f48656021115b353f72e02e06baa625b1bc21f13652a3c6a71c8b",
+        "eeed1a68e209102c858d3be4ad77a347354db096de74dd9d4494ac4053202c22",
+    ),
+    16: (
+        129315,
+        "dd71d5a84fcd03061732deb38c448556c9cc75fc29c040421267c9e2ac90f038",
+        "7724ad329d7ac0c02c4b3523db4d528fc99f7a220ee6449e2b0e505601a97dcf",
+    ),
 }
 
 
 @pytest.mark.parametrize("lam", sorted(PINNED_TRIE_SECTIONS))
 def test_trie_section_pinned_on_generated_corpus(artificial_text, lam):
-    """The trie section of the first 100,000 bytes of the generated corpus:
-    a faster build must write the same file."""
-    nodes, digest = PINNED_TRIE_SECTIONS[lam]
+    """The trie of the first 100,000 bytes of the generated corpus: a faster
+    build must build the same columns and write the same file, and a file
+    layout must load back the columns the build made."""
+    nodes, section_digest, columns_digest = PINNED_TRIE_SECTIONS[lam]
     index = build_index(artificial_text[:100_000], lam)
     blob = save_index(index)
     sizes = section_sizes(index)
@@ -192,4 +210,9 @@ def test_trie_section_pinned_on_generated_corpus(artificial_text, lam):
     at = sum(sizes[name] for name in names[: names.index("short_trie")])
     section = blob[at : at + sizes["short_trie"]]
     assert index.trie.node_count == nodes
-    assert hashlib.sha256(section).hexdigest() == digest
+    assert hashlib.sha256(section).hexdigest() == section_digest
+    for trie in (index.trie, load_index(blob).trie):
+        columns = hashlib.sha256()
+        for column in (trie.child_counts, trie.edges, trie.counts):
+            columns.update(np.asarray(column).astype("<i8").tobytes())
+        assert columns.hexdigest() == columns_digest
