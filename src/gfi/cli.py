@@ -129,7 +129,7 @@ def _cmd_stats(args) -> int:
     for key, value in _summary(idx).items():
         print("%s,%d" % (key, value))
     print("trie_nodes,%d" % idx.trie.node_count)
-    print("trie_levels,%d" % idx.trie.height)
+    print("trie_levels,%d" % len(idx.trie.levels))
     for name, size in sizes.items():
         print("bytes_%s,%d" % (name, size))
     return 0

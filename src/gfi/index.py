@@ -15,19 +15,18 @@ in which each rule ends with a 0 byte, a code no text uses, so one
 one width byte at the narrowest of 1, 2, 4 or 8 bytes per value that
 holds its largest value, so its values are limited only by int64; it
 loads with one ``np.frombuffer`` and keeps that width in memory.  The
-trie is one such column set per level, so each level's columns take the
-width of that level's own values: only the few shallow nodes have large
-counts, and the deepest level's nodes, which have no children, store no
-child counts.  Loading joins the levels into one read-only column each,
-at the widest level's width.  A CRC-32 of everything before it ends the
-file.  Loading checks the structure first and the checksum last, and
-every file it rejects raises ``CorruptIndexError``.
+trie is one such column set per level, the ``ShortPatternTrie.levels``
+the build makes, so each level's columns take the width of that level's
+own values: only the few shallow nodes have large counts, and the
+deepest level's nodes, which have no children, store no child counts.
+A CRC-32 of everything before it ends the file.  Loading checks the
+structure first and the checksum last, and every file it rejects raises
+``CorruptIndexError``.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
 import operator
 import struct
 import zlib
@@ -150,44 +149,19 @@ def _read_columns(buf: io.BytesIO, count: int) -> list[np.ndarray]:
 
 
 def _trie_levels(trie: ShortPatternTrie) -> bytes:
-    """The trie's level count (u8), then per level the columns of its
-    nodes' edges and counts and, above the deepest level, child counts.
-    The root's child count is level 1's row count, so it is not stored."""
-    ends = trie.level_ends
-    out = [struct.pack("<B", trie.height)]
-    for d in range(1, trie.height + 1):
-        a, b = ends[d - 1], ends[d]
-        columns = [trie.edges[a:b], trie.counts[a:b]]
-        if d < trie.height:
-            columns.append(trie.child_counts[a + 1 : b + 1])
-        out.append(_columns(*columns))
-    return b"".join(out)
+    """The trie's level count (u8), then each level's columns: its nodes'
+    edges and counts and, above the deepest level, child counts.  The
+    root's child count is level 1's row count, so it is not stored."""
+    return bytes([len(trie.levels)]) + b"".join(_columns(*level) for level in trie.levels)
 
 
 def _read_trie(buf: io.BytesIO, height: int, sigma: int) -> ShortPatternTrie:
-    """The ``height`` levels written by ``_trie_levels``, each column joined
-    across the levels at the widest one's width and left read-only, as a
-    single stored column would be.  Checked so that the trie is exactly
-    that deep, with the levels the file stores: no level is empty, and
-    each level's child counts sum to the next level's row count."""
-    levels = [_read_columns(buf, 3 if d < height else 2) for d in range(1, height + 1)]
-    rows = [len(level[0]) for level in levels]
-    if 0 in rows:
-        raise ValueError("trie level %d holds no nodes" % (rows.index(0) + 1))
-    columns = [[level[0] for level in levels], [level[1] for level in levels], []]
-    if levels:  # the root's child count, the stored ones, 0 for the deepest but its last node
-        columns[2] = [np.array(rows[:1], dtype=np.min_scalar_type(rows[0]))]
-        columns[2] += [level[2] for level in levels[:-1]]
-        columns[2].append(np.zeros(rows[-1] - 1, dtype=np.uint8))
-    for i, parts in enumerate(columns):
-        columns[i] = np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
-        columns[i].flags.writeable = False
-    edges, counts, child_counts = columns
+    """The ``height`` levels written by ``_trie_levels``; the trie checks
+    their shape, and every edge must be an alphabet code."""
+    trie = ShortPatternTrie([_read_columns(buf, 2 + (d < height)) for d in range(1, height + 1)])
+    edges = np.asarray(trie.edges)
     if len(edges) and not 1 <= edges.min() <= edges.max() <= sigma:
         raise ValueError("a trie edge lies outside the alphabet codes 1..%d" % sigma)
-    trie = ShortPatternTrie(child_counts, edges, counts)
-    if trie.level_ends != list(itertools.accumulate(rows, initial=0)):
-        raise ValueError("the trie's child counts do not sum to each next level's row count")
     return trie
 
 
@@ -291,14 +265,14 @@ def _read_index(data: bytes) -> TextIndex:
 
     # Each code's text frequency is the sum, over the rules, of the rule's
     # level-1 frequency times the code's count in it; the trie's depth-1
-    # counts (none at lam 1) must give the same.  np.add.at keeps the sums
-    # exact in int64, where bincount's float64 weights round past 2**53.
-    if lam > 1:
+    # counts (no level at lam 1 or n 0) must give the same.  np.add.at keeps
+    # the sums exact in int64, where bincount's float64 weights round past 2**53.
+    if trie.levels:
         freq_of_code = np.zeros(sigma + 1, dtype=np.int64)
         np.add.at(freq_of_code, np.frombuffer(rules, dtype=np.uint8), np.repeat(freqs, lengths + 1))
         depth1 = np.zeros(sigma + 1, dtype=np.int64)
-        level1 = slice(0, trie.kids[1])
-        depth1[np.asarray(trie.edges)[level1]] = np.asarray(trie.counts)[level1]
+        edges, counts, *_ = trie.levels[0]
+        depth1[edges] = counts
         if not np.array_equal(depth1[1:], freq_of_code[1:]):
             raise ValueError("the level-1 runs and the trie's depth-1 counts disagree")
     if baseline is not None and baseline[1].sum(dtype=np.int64) != n + 1:

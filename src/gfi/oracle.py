@@ -68,6 +68,8 @@ def gen_artificial(mutation_percent: float, seed: int) -> bytes:
     mutation_percent/100; a mutation is a coin flip between substitution
     (uniform over the three other characters) and deletion.
     """
+    if not 0 <= mutation_percent <= 100:  # nan too
+        raise InvalidParameterError("--mutation %s is not a percent in 0..100" % mutation_percent)
     rng = random.Random(seed)
     base = bytes(rng.choice(ARTIFICIAL_ALPHABET) for _ in range(ARTIFICIAL_BASE_LENGTH))
     p = mutation_percent / 100.0

@@ -2,20 +2,23 @@
 
 Patterns shorter than the chunk size can straddle chunk boundaries in the
 text, so they bypass the dictionary search entirely and are answered from
-this trie.  Nodes are stored as flat parallel arrays (child count, edge
-code, count) with ids assigned level by level in lexicographic order,
-which makes the serialized form deterministic.  In that order, the
-level-order layout of Jacobson's succinct trees, the children of a node
-are one contiguous run of ids with their edge codes ascending, so one
-array of child-slice bounds, the running sum of the child counts, is all
-a lookup needs: each pattern code is one binary search over the current
-node's child edges.  The build settles that order with one sort per block
-of levels: each text position's node rank and next codes packed into one
-int64 key, as ``bwt.suffix_array`` packs its first round.
+this trie.  The trie is its levels, depth 1 first, each a set of
+parallel columns over the level's nodes in lexicographic order: edge
+code, count and, above the deepest level, child count.  The build makes
+that form and the index file stores it, which makes the serialized form
+deterministic.  In that order, the level-order layout of Jacobson's
+succinct trees, the children of a node are one contiguous run of ids
+with their edge codes ascending, so one array of child-slice bounds, the
+running sum of the child counts, is all a lookup needs: each pattern
+code is one binary search over the current node's child edges.  The
+build settles that order with one sort per block of levels: each text
+position's node rank and next codes packed into one int64 key, as
+``bwt.suffix_array`` packs its first round.
 """
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 
 import numpy as np
@@ -24,42 +27,50 @@ import numpy as np
 class ShortPatternTrie:
     """Trie of depth lam-1 over the dense alphabet; node counts are exact."""
 
-    def __init__(self, child_counts, edges, counts):
-        """Nodes 1..n by their edges and counts; ``child_counts[p]`` is node
-        p's number of children for p in 0..n-1 (0 is the root).  The last
-        node comes last in level order, so it has none.  The columns keep
-        the integer width they come in; only the child slices are int64."""
-        child_counts = np.asarray(child_counts)
-        edges = np.asarray(edges)
-        counts = np.asarray(counts)
-        n = len(edges)
-        if not n == len(child_counts) == len(counts):
-            raise ValueError("trie child-count, edge and count arrays differ in length")
-        # No count above n, so their int64 sum cannot wrap back to n.
-        in_range = not n or 0 <= child_counts.min() <= child_counts.max() <= n
-        if not in_range or child_counts.sum() != n:
-            raise ValueError("trie child counts must lie in 0..n and sum to the node count n")
+    def __init__(self, levels):
+        """The trie from its levels, depth 1 first, each a tuple of columns:
+        its nodes' edges and counts in level order and, on every level above
+        the deepest, their child counts.  ``levels`` keeps each child-count
+        column as it comes, and each level's edges and counts as slices of
+        two read-only columns joined across the levels at the widest one's
+        width, which ``count`` reads; only the child slices are int64."""
+        levels = [tuple(map(np.asarray, level)) for level in levels]
+        rows = [len(level[0]) for level in levels] + [0]
+        self.node_count = n = sum(rows)  # the root excluded
         # Node p's children are the ids kids[p]+1 .. kids[p+1], and their
-        # edges are edges[kids[p]:kids[p+1]]; node ids start at 1.
-        kids = np.zeros(n + 2, dtype=np.int64)
-        np.cumsum(child_counts, dtype=np.int64, out=kids[1 : n + 1])
-        kids[n + 1] = n
-        parents = np.repeat(np.arange(n), child_counts)
-        if np.any(parents >= np.arange(1, n + 1)):
-            raise ValueError("every trie node's parent must be an earlier node")
-        if np.any((parents[1:] == parents[:-1]) & (edges[1:] <= edges[:-1])):
+        # edges are edges[kids[p]:kids[p+1]]; the root is node 0, the ids
+        # after it come level by level, and the deepest level has no children.
+        kids = np.full(n + 2, n, dtype=np.int64)
+        kids[:2] = 0, rows[0]
+        last = 0  # the last id above level d
+        for d, level in enumerate(levels, 1):
+            if any(len(column) != rows[d - 1] for column in level):
+                raise ValueError("trie level %d's columns differ in length" % d)
+            if not rows[d - 1]:
+                raise ValueError("trie level %d holds no nodes" % d)
+            first, last = last + 1, last + rows[d - 1]
+            if d < len(levels):
+                # No count above the next level's row count, so their int64
+                # sum cannot wrap back to it.
+                below, bound = level[2], rows[d]
+                if not 0 <= below.min() <= below.max() <= bound or below.sum() != bound:
+                    message = "trie level %d's child counts must lie in 0..%d and sum to %d"
+                    raise ValueError(message % (d, bound, bound))
+                kids[first + 1 : last + 2] = last + np.cumsum(below, dtype=np.int64)
+        empty = [np.zeros(0, dtype=np.uint8)]
+        edges, counts = (np.concatenate([level[i] for level in levels] or empty) for i in (0, 1))
+        edges.flags.writeable = counts.flags.writeable = False
+        # Each edge must exceed the one before it unless it starts a sibling run.
+        rising = np.ones(n + 1, dtype=bool)
+        rising[1:n] = edges[1:] > edges[:-1]
+        rising[kids] = True
+        if not rising.all():
             raise ValueError("a trie node's child edges must strictly increase")
-        self.kids = memoryview(kids)
-        self.child_counts = memoryview(child_counts)
-        self.edges = memoryview(edges)
-        self.counts = memoryview(counts)
-        # Ids come level by level: level d is nodes level_ends[d-1]+1 ..
-        # level_ends[d], and level d+1 ends with the last child of level d's
-        # last node.  Every node's parent comes before it, so each step grows.
-        self.level_ends = [0]
-        while self.level_ends[-1] < n:
-            self.level_ends.append(int(kids[self.level_ends[-1] + 1]))
-        self.height = len(self.level_ends) - 1
+        ends = list(itertools.accumulate(rows, initial=0))
+        self.levels = [
+            (edges[a:b], counts[a:b], *level[2:]) for level, a, b in zip(levels, ends, ends[1:])
+        ]
+        self.kids, self.edges, self.counts = memoryview(kids), memoryview(edges), memoryview(counts)
 
     @classmethod
     def build(cls, text: np.ndarray, lam: int) -> "ShortPatternTrie":
@@ -80,7 +91,7 @@ class ShortPatternTrie:
         if n and text.min() < 1:
             raise ValueError("the trie needs codes of at least 1; 0 pads past the text's end")
         depth, base = min(lam - 1, n), (int(text.max()) + 1 if n else 1)
-        levels = []  # per level, top down: its parents' child counts, its edges, its counts
+        levels = []  # per level, top down: its edges, its counts and, once known, its child counts
         rank, d, size = None, 0, 1  # depth-d ranks of positions 0..n-d-1; level size
         while d < depth:
             top, j = size, 1
@@ -97,31 +108,23 @@ class ShortPatternTrie:
             size = int(np.count_nonzero(real))
             if inverse:
                 rank = (np.cumsum(real) - 1)[inverse.pop()[: n - d - j]]
-            block = []
-            for i in range(j, 0, -1):  # keys, cnt, code and real describe level d+i
-                level = code[real], cnt[real]
+            block, below = [], ()
+            for i in range(j, 0, -1):  # keys, cnt, code, real: level d+i; below: its child counts
+                block.append((code[real], cnt[real], *below))
                 keys //= base
                 if i == 1:
-                    block.append((np.bincount(keys[real], minlength=top), *level))
                     break
                 start = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
                 below = np.add.reduceat(real, start, dtype=np.int64)
                 keys, cnt = keys[start], np.add.reduceat(cnt, start)
                 code = keys % base
                 real = code != 0
-                block.append((below[real], *level))
+                below = (below[real],)
+            if levels:  # level d's child counts; the root's is level d+1's row count
+                levels[-1] += (np.bincount(keys[real], minlength=top),)
             levels += block[::-1]
             d += j
-        empty = np.zeros(0, dtype=np.int64)
-        # The deepest level has no children; the column stops before its last node.
-        levels.append((np.zeros(size - 1, dtype=np.int64), empty, empty))
-        child_counts, edges, counts = map(np.concatenate, zip(*levels))
-        return cls(child_counts=child_counts, edges=edges, counts=counts)
-
-    @property
-    def node_count(self) -> int:
-        """Number of stored nodes, the root excluded."""
-        return len(self.edges)
+        return cls(levels)
 
     def count(self, codes: bytes) -> int:
         """Occurrences of the code bytes, 0 when no text substring spells them."""

@@ -83,13 +83,13 @@ def relabelled_trie_index(text: bytes, lam: int, damage: str) -> bytes:
     child edge (depth 2), relabelled to sigma + 1, which keeps every sibling
     list increasing; or the root's first two children's counts swapped."""
     idx = build_index(text, lam, with_baseline=True)
-    trie = idx.trie
-    edges, counts = np.array(trie.edges), np.array(trie.counts)
+    levels = [[np.array(column) for column in level] for level in idx.trie.levels]
+    (edges, counts, child_counts), (deep_edges, *_) = levels[:2]
     if damage == "root_edge":
-        edges[trie.kids[1] - 1] = idx.alphabet.size + 1
+        edges[-1] = idx.alphabet.size + 1
     elif damage == "deep_edge":
-        edges[trie.kids[2] - 1] = idx.alphabet.size + 1
+        deep_edges[child_counts[0] - 1] = idx.alphabet.size + 1
     else:
         counts[[0, 1]] = counts[[1, 0]]
-    idx.trie = ShortPatternTrie(trie.child_counts, edges, counts)
+    idx.trie = ShortPatternTrie(levels)
     return save_index(idx)

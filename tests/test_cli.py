@@ -104,6 +104,18 @@ def test_gen_artificial_cli(tmp_path, capsys):
     assert set(data) <= set(b"ACGT")
 
 
+@pytest.mark.parametrize("mutation", ["-5", "150", "nan", "inf"])
+def test_gen_artificial_rejects_mutation_outside_0_to_100(tmp_path, capsys, mutation):
+    out_file = tmp_path / "a.txt"
+    status, out, err = run(
+        capsys, "gen", "artificial", "--mutation", mutation, "-o", str(out_file)
+    )
+    assert status == 2
+    assert err.startswith("error:") and "--mutation" in err
+    assert "Traceback" not in err and not out
+    assert not out_file.exists()
+
+
 def test_bench_deterministic_patterns(tmp_path, capsys):
     corpus = tmp_path / "c.txt"
     run(capsys, "gen", "random", "--sigma", "3", "--length", "2000", "--seed", "9", "-o", str(corpus))

@@ -141,7 +141,7 @@ def test_rejects_corrupt_trie_section(damage):
     assert load_index(blob).count(b"a") == text.count(b"a") == 25
     reason = "child edges must strictly increase"
     if damage == "miscounted":
-        reason = "sum to the node count"
+        reason = "child counts must lie in 0..7 and sum to 7"
     with pytest.raises(CorruptIndexError, match=reason):
         load_index(corrupt_trie_rows(blob, damage))
 
@@ -166,18 +166,10 @@ def test_rejects_wrong_trie_edges_and_counts(damage, reason):
 
 
 def _trie_levels_of(blob: bytes) -> list[list[list[int]]]:
-    """The loaded trie's columns cut by level: per level its edges and
-    counts and, above the deepest, its nodes' child counts."""
-    trie = load_index(blob).trie
-    ends = trie.level_ends
-    child_counts, edges, counts = (
-        np.asarray(column).tolist() for column in (trie.child_counts, trie.edges, trie.counts)
-    )
-    levels = [
-        [edges[a:b], counts[a:b], child_counts[a + 1 : b + 1]] for a, b in zip(ends, ends[1:])
-    ]
-    levels[-1].pop()
-    return levels
+    """The loaded trie's levels: per level its edges and counts and, above
+    the deepest, its nodes' child counts."""
+    levels = load_index(blob).trie.levels
+    return [[np.asarray(column).tolist() for column in level] for level in levels]
 
 
 def _with_trie_levels(blob: bytes, levels) -> bytes:
@@ -220,8 +212,8 @@ def _wrapping_children(levels):
     "damage, reason",
     [
         (_empty_levels, "trie level 2 holds no nodes"),
-        (_moved_child, "child counts do not sum to each next level's row count"),
-        (_wrapping_children, "lie in 0..n and sum to the node count"),
+        (_moved_child, "level 1's child counts must lie in 0..7 and sum to 7"),
+        (_wrapping_children, "level 1's child counts must lie in 0..7"),
     ],
     ids=["empty_level", "moved_child", "wrapping_children"],
 )
@@ -287,7 +279,7 @@ def _unary_index(n: int) -> TextIndex:
         alphabet=DenseAlphabet(b"a"),
         grammar=Grammar(lam=2, rhs=[bytes([1])]),
         rlfm1=RLFMIndex(run_heads=[1, 0], run_lengths=[n, 1]),
-        trie=ShortPatternTrie(child_counts=[1], edges=[1], counts=[n]),
+        trie=ShortPatternTrie([([1], [n])]),
         n=n,
     )
 
@@ -341,7 +333,7 @@ def test_loaded_columns_keep_their_stored_widths(wide_rules_index):
     rlfm1, rlfm0, trie = loaded.rlfm1, loaded.rlfm0, loaded.trie
     for column in (
         rlfm1.run_heads, rlfm1.run_lengths, rlfm0.run_heads, rlfm0.run_lengths,
-        np.asarray(trie.child_counts), np.asarray(trie.edges), np.asarray(trie.counts),
+        np.asarray(trie.edges), np.asarray(trie.counts), *(level[2] for level in trie.levels[:-1]),
     ):
         assert column.dtype == np.min_scalar_type(int(column.max()))
         assert not column.flags.writeable  # a view of the file's bytes, not a copy
@@ -393,7 +385,7 @@ def test_columns_re_encoded_at_width_8_load_and_count_alike(fuzz_blob):
     canonical, loaded = load_index(blob), load_index(wide)
     assert loaded.rlfm1.run_heads.dtype == np.int64
     assert np.asarray(loaded.trie.edges).dtype == np.int64
-    assert np.asarray(loaded.trie.child_counts).dtype == np.int64
+    assert all(level[2].dtype == np.int64 for level in loaded.trie.levels[:-1])
     assert save_index(loaded) == blob
     patterns = sorted(_substrings(text, 12)) + [b"abcabc", b"ccc", b"d", b"aaaaaaaa"]
     for pattern in patterns:

@@ -98,6 +98,12 @@ def test_gen_artificial_no_mutation_is_pure_copies():
     assert set(data) <= set(b"ACGT")
 
 
+@pytest.mark.parametrize("mutation", [-5.0, -0.5, 100.5, 150.0, float("nan"), float("inf")])
+def test_gen_artificial_rejects_mutation_outside_0_to_100(mutation):
+    with pytest.raises(InvalidParameterError, match="0..100"):
+        gen_artificial(mutation, 1)
+
+
 def test_gen_artificial_deterministic():
     assert gen_artificial(1.0, 5) == gen_artificial(1.0, 5)
     assert gen_artificial(1.0, 5) != gen_artificial(1.0, 6)

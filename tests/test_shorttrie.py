@@ -30,24 +30,28 @@ def test_depth_zero_trie_is_empty():
 
 
 def test_rejects_malformed_node_arrays():
-    # Node 2 would be its own child: the child counts of nodes 0..1 sum to 1, not 2.
-    with pytest.raises(ValueError, match="sum to the node count"):
-        ShortPatternTrie(child_counts=[1, 0], edges=[1, 1], counts=[2, 1])
-    # Node 1 would be its own child: the root has none.
-    with pytest.raises(ValueError, match="sum to the node count"):
-        ShortPatternTrie(child_counts=[0], edges=[1], counts=[1])
-    # Counts past n whose int64 sum wraps to n: their child slices crashed the interpreter.
-    with pytest.raises(ValueError, match="sum to the node count"):
-        ShortPatternTrie(child_counts=[2**63 - 1, 2**63 - 1, 5], edges=[1, 2, 3], counts=[1, 1, 1])
+    # Node 2 would be its own child: level 1's child counts sum to 0, not 1.
+    with pytest.raises(ValueError, match="level 1's child counts must lie in 0..1 and sum to 1"):
+        ShortPatternTrie([([1], [2], [0]), ([1], [1])])
+    # A level-2 node would be its own child: its level-1 parents have none.
+    with pytest.raises(ValueError, match="level 1's child counts must lie in 0..1 and sum to 1"):
+        ShortPatternTrie([([1, 2], [1, 1], [0, 0]), ([1], [1])])
+    # Counts past the next level's rows whose int64 sum wraps to them: their
+    # child slices crashed the interpreter.
+    with pytest.raises(ValueError, match="lie in 0..3"):
+        ShortPatternTrie([([1, 2, 3], [1] * 3, [2**63 - 1, 2**63 - 1, 5]), ([1, 2, 3], [1] * 3)])
     with pytest.raises(ValueError, match="differ in length"):
-        ShortPatternTrie(child_counts=[1, 1], edges=[1, 1], counts=[2])
-    # Node 2's children would be nodes 2 and 3: a node listed before its parent.
-    with pytest.raises(ValueError, match="earlier node"):
-        ShortPatternTrie(child_counts=[1, 0, 2], edges=[1, 1, 2], counts=[2, 1, 1])
+        ShortPatternTrie([([1, 1], [2])])
+    # Node 2 listed before its parent, here a level-2 node with children
+    # of its own but no parent: level 1's child counts sum to 0, not 1.
+    with pytest.raises(ValueError, match="level 1's child counts must lie in 0..1 and sum to 1"):
+        ShortPatternTrie([([1], [2], [0]), ([1], [1], [1]), ([2], [1])])
+    with pytest.raises(ValueError, match="level 2 holds no nodes"):
+        ShortPatternTrie([([1], [1], [0]), ([], [])])
     with pytest.raises(ValueError, match="strictly increase"):
-        ShortPatternTrie(child_counts=[2, 0], edges=[2, 1], counts=[1, 1])
+        ShortPatternTrie([([2, 1], [1, 1])])
     with pytest.raises(ValueError, match="strictly increase"):
-        ShortPatternTrie(child_counts=[2, 2, 0, 0], edges=[1, 2, 1, 1], counts=[2, 1, 1, 1])
+        ShortPatternTrie([([1, 2], [2, 1], [2, 0]), ([1, 1], [1, 1])])
 
 
 def test_counts_match_naive_and_suffix_array():
@@ -86,7 +90,7 @@ def test_node_counts_are_consistent():
         raw = text.astype(np.uint8).tobytes()
         label = {0: b""}
         children_sum = {node: 0 for node in range(trie.node_count + 1)}
-        parents = np.repeat(np.arange(trie.node_count), trie.child_counts)
+        parents = np.repeat(np.arange(trie.node_count + 1), np.diff(trie.kids))
         for node in range(1, trie.node_count + 1):
             parent = int(parents[node - 1])
             label[node] = label[parent] + bytes([int(trie.edges[node - 1])])
@@ -98,21 +102,26 @@ def test_node_counts_are_consistent():
             assert int(trie.counts[node - 1]) == children_sum[node] + tail
 
 
-def _brute_force_columns(s: list, lam: int) -> tuple[list, list, list]:
-    """Level-order columns from a dict of k-mer counts, sorted level by level."""
+def _brute_force_levels(s: list, lam: int) -> list[list[list]]:
+    """Per level, from a dict of k-mer counts sorted level by level: the
+    edges and counts and, above the deepest level, child counts."""
     depth = min(lam - 1, len(s))
     kmers = {}
     for k in range(1, depth + 1):
         for i in range(len(s) - k + 1):
             kmer = tuple(s[i : i + k])
             kmers[kmer] = kmers.get(kmer, 0) + 1
-    nodes = sorted(kmers, key=lambda kmer: (len(kmer), kmer))
-    children = {(): 0}
-    for kmer in nodes:
-        children[kmer] = 0
-        children[kmer[:-1]] += 1
-    child_counts = [children[()]] + [children[kmer] for kmer in nodes]
-    return child_counts[: len(nodes)], [kmer[-1] for kmer in nodes], [kmers[kmer] for kmer in nodes]
+    children = {kmer: 0 for kmer in kmers}
+    for kmer in kmers:
+        if len(kmer) > 1:
+            children[kmer[:-1]] += 1
+    levels = []
+    for k in range(1, depth + 1):
+        nodes = sorted(kmer for kmer in kmers if len(kmer) == k)
+        levels.append([[kmer[-1] for kmer in nodes], [kmers[kmer] for kmer in nodes]])
+        if k < depth:
+            levels[-1].append([children[kmer] for kmer in nodes])
+    return levels
 
 
 def _texts(rng: random.Random, sigma: int, n: int):
@@ -126,7 +135,7 @@ def _texts(rng: random.Random, sigma: int, n: int):
 
 
 def test_columns_equal_brute_force_trie():
-    """Every column equals a trie built in plain Python, from one level to
+    """Every level's columns equal a trie built in plain Python, from one level to
     several blocks of levels, on random, periodic and unary-run texts and
     on texts shorter than the trie's depth."""
     rng = random.Random(20)
@@ -142,8 +151,8 @@ def test_columns_equal_brute_force_trie():
     for sigma, lam, n in cases:
         for s in _texts(rng, sigma, n):
             trie = ShortPatternTrie.build(np.array(s, dtype=np.uint8), lam)
-            got = [np.asarray(column).tolist() for column in (trie.child_counts, trie.edges, trie.counts)]
-            assert got == list(_brute_force_columns(s, lam)), (sigma, lam, n, s[:20])
+            got = [[np.asarray(column).tolist() for column in level] for level in trie.levels]
+            assert got == _brute_force_levels(s, lam), (sigma, lam, n, s[:20])
 
 
 @pytest.mark.parametrize(
@@ -166,7 +175,7 @@ def test_one_sort_per_block_of_levels(monkeypatch, sigma, lam, n, sorts):
     monkeypatch.setattr(np, "unique", counted)
     trie = ShortPatternTrie.build(text, lam)
     assert len(calls) == sorts
-    assert trie.height == lam - 1
+    assert len(trie.levels) == lam - 1
 
 
 def test_rejects_code_zero():
@@ -176,8 +185,9 @@ def test_rejects_code_zero():
 
 # Node count, sha256 of the format-3 trie section (one column set per
 # level), and sha256 of the built child-count, edge and count columns as
-# int64; the column digests were recorded before the file stored the trie
-# level by level, so they pin the build across that change.
+# int64, each joined across the levels, the child counts of nodes 0..n-1
+# with the root's first; the column digests were recorded before the file
+# stored the trie level by level, so they pin the build across that change.
 PINNED_TRIE_SECTIONS = {
     4: (
         84,
@@ -213,6 +223,6 @@ def test_trie_section_pinned_on_generated_corpus(artificial_text, lam):
     assert hashlib.sha256(section).hexdigest() == section_digest
     for trie in (index.trie, load_index(blob).trie):
         columns = hashlib.sha256()
-        for column in (trie.child_counts, trie.edges, trie.counts):
+        for column in (np.diff(trie.kids)[:-1], trie.edges, trie.counts):
             columns.update(np.asarray(column).astype("<i8").tobytes())
         assert columns.hexdigest() == columns_digest
