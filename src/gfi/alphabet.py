@@ -31,8 +31,11 @@ class DenseAlphabet:
         """Map a byte string to code bytes; None if any byte is outside the alphabet.
 
         Both count paths encode their pattern here, so this is where an
-        empty pattern is rejected.
+        empty pattern is rejected and a bytearray or memoryview becomes
+        bytes (a bytes pattern is not copied).
         """
+        if type(data) is not bytes:
+            data = bytes(data)
         if not data:
             raise InvalidPatternError("empty pattern")
         codes = data.translate(self.byte_to_code)

@@ -166,10 +166,12 @@ def _read_trie(buf: io.BytesIO, height: int, sigma: int) -> ShortPatternTrie:
 
 
 def _read_runs(buf: io.BytesIO, top: int, what: str, symbols: str) -> tuple[np.ndarray, ...]:
-    """The (heads, lengths) of a run-length BWT over symbols 0..top in which
-    every symbol occurs, checked so that ``RLFMIndex`` takes them as they are:
-    no run is empty, the lengths sum within int64, no two adjacent runs share
-    a head, and symbol 0 (the terminator) is one run of length 1."""
+    """The (heads, lengths) of a run-length BWT whose largest symbol is
+    ``top``, checked so that ``RLFMIndex`` takes them as they are: no run is
+    empty, the lengths sum within int64, no two adjacent runs share a head,
+    and symbol 0 (the terminator) is one run of length 1.  Symbols below
+    ``top`` may be absent; ``top`` must occur, as a suffix count reads
+    ``first[c + 1]`` for every rule id c."""
     heads, lengths = _read_columns(buf, 2)
     if (heads.max() if len(heads) else -1) != top:
         raise ValueError("%s BWT symbols do not match the %d %s" % (what, top, symbols))

@@ -17,18 +17,20 @@ helper (``_chunk_ids``) that stops at the first chunk that is no rule.
 The core, every right-end cut on the chunk grid and every head
 enumeration go through it, so no factor or chunk list is built, and a
 missing core chunk ends the plan at once.  The executor walks a last
-branch's exact ids and the core in one ``backward_step`` call, and each
-first branch's exact ids in another; it skips the walk for an empty id
-tuple and resolves a suffix query to its colex interval where it counts:
-repeats inside one plan are too rare to keep a memo.
+branch's exact ids and the core in one call, and each first branch's
+exact ids in another, with ``RLFMIndex.backward_step`` or, under a
+trace, ``QueryTrace.walk``; it skips the walk for an empty id tuple and
+resolves a suffix query to its colex interval where it counts: repeats
+inside one plan are too rare to keep a memo.
 
 Patterns shorter than the chunk size are answered by the short-pattern
-trie instead.
+trie instead, and a trace logs nothing for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 from typing import NamedTuple
 
@@ -83,14 +85,27 @@ class QueryTrace:
 
     ``core_traversals`` records (steps taken, completed) per branch that
     reached the core; ``events`` records every range transition as
-    (kind, payload, (lo, hi)).
+    (kind, payload, (lo, hi)); ``steps`` counts the last walk's steps.
     """
 
     core_traversals: list = field(default_factory=list)
     events: list = field(default_factory=list)
+    steps: int = field(default=0, init=False)
 
     def log(self, kind, payload, rng: tuple[int, int]):
         self.events.append((kind, payload, rng))
+
+    def walk(self, fm: RLFMIndex, lo: int, hi: int, ids) -> tuple[int, int]:
+        """``fm.backward_step(lo, hi, ids)`` one symbol per call, logging
+        each range as a "step" event; stops at an empty range."""
+        self.steps = 0
+        for sym in reversed(ids):
+            if lo > hi:
+                break
+            lo, hi = fm.backward_step(lo, hi, (sym,))
+            self.steps += 1
+            self.log("step", sym, (lo, hi))
+        return lo, hi
 
 
 def trailing_run(s: bytes) -> int:
@@ -202,24 +217,6 @@ def plan_branches(codes: bytes, grammar: Grammar) -> BranchPlan:
     return BranchPlan(core, last_branches, first_branches)
 
 
-def _traced_walk(
-    fm: RLFMIndex, lo: int, hi: int, ids, trace: QueryTrace
-) -> tuple[int, int, int]:
-    """Backward steps through ``ids`` right to left, one symbol per call,
-    logging each range; stops at an empty range.
-
-    Returns the final range and the number of steps taken.
-    """
-    steps = 0
-    for sym in reversed(ids):
-        if lo > hi:
-            break
-        lo, hi = fm.backward_step(lo, hi, (sym,))
-        steps += 1
-        trace.log("step", sym, (lo, hi))
-    return lo, hi, steps
-
-
 def execute_plan(
     fm: RLFMIndex, grammar: Grammar, plan: BranchPlan, trace: QueryTrace | None = None
 ) -> int:
@@ -228,13 +225,14 @@ def execute_plan(
     Branches are pairwise disjoint, so the sum counts each occurrence
     exactly once.  The core is walked once per last branch and the
     resulting range is shared across the first branches; each suffix
-    count resolves its query to a colex interval.  Untraced, each walk is
-    one ``backward_step`` call: the last branch's exact ids and the core
-    together, then each first branch's exact ids.  A trace steps one
-    symbol per call, so that it can log every range.
+    count resolves its query to a colex interval.  Each branch has one
+    walk, a ``backward_step`` call or, traced, ``trace.walk`` over the
+    same ids; a traced core traversal is the walk's steps past the last
+    branch's exact ids.
     """
     if plan.dead:
         return 0
+    walk = fm.backward_step if trace is None else partial(trace.walk, fm)
     total = 0
     core = plan.core_ids
     pairs = zip(
@@ -245,23 +243,18 @@ def execute_plan(
         lo, hi = fm.id_interval_range(*grammar.prefix_range(lb.anchor))
         if trace:
             trace.log("anchor", lb.anchor, (lo, hi))
-            lo, hi, _ = _traced_walk(fm, lo, hi, lb.exact_ids, trace)
-            lo, hi, steps = _traced_walk(fm, lo, hi, core, trace)
-            if steps:
+        ids = core + lb.exact_ids
+        if ids:
+            lo, hi = walk(lo, hi, ids)
+            if trace and trace.steps > len(lb.exact_ids):
+                steps = trace.steps - len(lb.exact_ids)
                 trace.core_traversals.append((steps, steps == len(core)))
-        else:
-            ids = core + lb.exact_ids
-            if ids:
-                lo, hi = fm.backward_step(lo, hi, ids)
         if lo > hi:
             continue
         for fb in first_branches:
             a, b = lo, hi
             if fb.exact_ids:
-                if trace:
-                    a, b, _ = _traced_walk(fm, lo, hi, fb.exact_ids, trace)
-                else:
-                    a, b = fm.backward_step(lo, hi, fb.exact_ids)
+                a, b = walk(lo, hi, fb.exact_ids)
                 if a > b:
                     continue
             q = fb.suffix_query

@@ -252,6 +252,25 @@ def test_rejects_rules_not_matching_level1_symbols(unused):
         load_index(save_index(idx))
 
 
+@pytest.mark.parametrize("lam", [3, 4])
+def test_unused_rule_below_the_largest_id_loads_and_counts(lam):
+    """The load checks only that the largest level-1 head is the largest
+    rule id, which the per-symbol suffix count needs.  A rule that the
+    rewritten text never uses, below that id, loads and counts right."""
+    text = b"bacabacaacbcbc" * 5
+    idx = build_index(text, lam)
+    aaa = bytes([1] * 3)
+    rhs = idx.grammar.rhs
+    assert aaa < rhs[0]  # so it takes lex id 1, and every used rule moves up one
+    heads = np.asarray(idx.rlfm1.run_heads, dtype=np.int64)
+    idx.grammar = Grammar(lam=lam, rhs=[aaa] + rhs)
+    idx.rlfm1 = RLFMIndex(heads + (heads >= 1), idx.rlfm1.run_lengths)
+    loaded = load_index(save_index(idx))
+    assert loaded.grammar.rhs_id[aaa] == 1 and loaded.rlfm1.C[2] == loaded.rlfm1.C[1]
+    for pattern in sorted(_substrings(text, 11)) + [b"aaa", b"aaaab", b"cbcbcbcb"]:
+        assert loaded.count(pattern) == naive_count(text, pattern), pattern
+
+
 @pytest.mark.parametrize(
     "damage, reason",
     [

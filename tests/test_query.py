@@ -42,6 +42,17 @@ def test_count_and_baseline_count_reject_empty():
         idx.count_baseline(b"")
 
 
+def test_bytes_like_patterns_count_as_bytes():
+    """A bytearray or memoryview pattern counts as its bytes do, on the trie
+    route, the planner route and the baseline."""
+    idx = build_index(b"bacabacaacbcbc" * 5, 4, with_baseline=True)
+    for pat in (b"ab", b"cabaca", b"acbcbcba", b"zz"):
+        want = (idx.count(pat), idx.count_baseline(pat))
+        for like in (bytearray(pat), memoryview(pat)):
+            assert (idx.count(like), idx.count_baseline(like)) == want, like
+    assert idx.count(bytearray(b"cabaca")) == idx.count(memoryview(b"ab")) == 5
+
+
 def test_short_patterns_use_trie(running_example_index):
     idx = running_example_index
     assert count(idx, b"bc") == 2
@@ -138,6 +149,23 @@ def test_trace_logs_the_criterion_5_walk():
         ("suffix_count", c, (3, 3)),
     ]
     assert trace.core_traversals == [(1, True)]
+
+
+def test_trace_records_a_core_traversal_only_past_the_exact_ids():
+    """On the running example at lam=2, cabaab's last-branch exact id (a)
+    empties the range before the core, so no traversal is recorded;
+    baccab's two-id core empties at its first step, recorded as (1, False)."""
+    idx = build_index(b"bacabacaacbcbc", 2)
+    for pat, exact, core, steps, traversals in (
+        (b"cabaab", (1,), (2,), [("step", 1, (2, 1))], []),
+        (b"baccab", (), (3, 6), [("step", 6, (9, 8))], [(1, False)]),
+    ):
+        plan = plan_branches(to_codes(pat), idx.grammar)
+        assert [lb.exact_ids for lb in plan.last_branches] == [exact] and plan.core_ids == core
+        trace = QueryTrace()
+        assert count(idx, pat, trace) == 0
+        assert [e for e in trace.events if e[0] == "step"] == steps
+        assert trace.core_traversals == traversals, pat
 
 
 def test_execute_resolves_each_suffix_query_once(monkeypatch, artificial_text, artificial_index):
@@ -347,6 +375,20 @@ def test_core_step_count_formula():
     assert seen > 50
 
 
+def _count_traced_and_untraced(idx, pat) -> int:
+    """The count of ``pat``, checking that a fresh QueryTrace gives the same
+    count and charges the same rank and step calls as an untraced count,
+    and logs one "step" event per step it charges."""
+    stats = idx.rlfm1.stats
+    seen = []
+    for trace in (None, QueryTrace()):
+        stats.reset()
+        seen.append((count(idx, pat, trace), stats.rank_calls, stats.step_calls))
+    assert seen[0] == seen[1], pat
+    assert sum(kind == "step" for kind, _, _ in trace.events) == stats.step_calls, pat
+    return seen[0][0]
+
+
 def test_oracle_equivalence_randomized():
     rng = random.Random(20)
     for _ in range(120):
@@ -364,7 +406,7 @@ def test_oracle_equivalence_randomized():
             else:
                 pat = bytes(rng.randint(97, 96 + sigma) for _ in range(m))
             want = naive_count(text, list(pat))
-            assert count(idx, pat) == want, (raw, lam, pat)
+            assert _count_traced_and_untraced(idx, pat) == want, (raw, lam, pat)
             assert idx.count_baseline(pat) == want
 
 
@@ -405,7 +447,7 @@ def test_oracle_equivalence_at_large_lambda():
                 else:
                     pat = bytes(rng.choices(range(1, sigma + 1), k=m))
                 want = naive_count(raw, pat)
-                assert count(idx, pat) == want, (raw, lam, pat)
+                assert _count_traced_and_untraced(idx, pat) == want, (raw, lam, pat)
                 assert idx.count_baseline(pat) == want, (raw, lam, pat)
                 cases += 1
     elapsed = time.perf_counter() - start
