@@ -88,10 +88,10 @@ def _cmd_bench(args) -> int:
         raw = raw[:-1]
     print("length,mean_time_per_char,total_rank_calls,rank_calls_per_char")
     for exp in range(lo, hi + 1):
-        length = 1 << exp
-        if length > len(raw):
+        if exp >= len(raw).bit_length():  # 2^exp > len(raw), known before 2^exp is built
             print("length 2^%d exceeds the text" % exp, file=sys.stderr)
             return 1
+        length = 1 << exp
         patterns = oracle.extract_patterns(
             np.frombuffer(raw, dtype="u1"), length, args.samples, args.seed + exp
         )

@@ -13,12 +13,12 @@ All multi-byte integers are little-endian.  The rules are one byte string
 in which each rule ends with a 0 byte, a code no text uses, so one
 ``bytes.split`` recovers them.  Each run and trie column is stored behind
 one width byte at the narrowest of 1, 2, 4 or 8 bytes per value that
-holds its largest value, so its values are limited only by int64; it
-loads with one ``np.frombuffer`` and keeps that width in memory.  The
-trie is one such column set per level, the ``ShortPatternTrie.levels``
-the build makes, so each level's columns take the width of that level's
-own values: only the few shallow nodes have large counts, and the
-deepest level's nodes, which have no children, store no child counts.
+holds its largest value (``rlfm.narrowest``), so its values are limited
+only by int64; built or loaded, it keeps that width in memory.  The trie
+is one such column set per level, the ``ShortPatternTrie.levels`` the
+build makes, so each level's columns take the width of that level's own
+values: only the few shallow nodes have large counts, and the deepest
+level's nodes, which have no children, store no child counts.
 A CRC-32 of everything before it ends the file.  Loading checks the
 structure first and the checksum last, and every file it rejects raises
 ``CorruptIndexError``.
@@ -27,6 +27,7 @@ structure first and the checksum last, and every file it rejects raises
 from __future__ import annotations
 
 import io
+import numbers
 import operator
 import struct
 import zlib
@@ -40,15 +41,12 @@ from gfi import grammar as grammar_mod
 from gfi import query
 from gfi.alphabet import DenseAlphabet, densify
 from gfi.errors import CorruptIndexError, InvalidParameterError
-from gfi.rlfm import RLFMIndex
+from gfi.rlfm import COLUMN_DTYPES, RLFMIndex, narrowest
 from gfi.shorttrie import ShortPatternTrie
 
 MAGIC = b"GFI1"
 VERSION = 3
 MAX_LAMBDA = 255  # the header stores the chunk size in one byte
-# The stored column widths and their dtypes, built once: the trie's
-# per-level columns make a dozen or more columns per load.
-COLUMN_DTYPES = {width: np.dtype("<u%d" % width) for width in (1, 2, 4, 8)}
 
 
 @dataclass
@@ -74,8 +72,8 @@ class TextIndex:
             return None
         return RLFMIndex(*self.baseline_runs)
 
-    def count(self, pattern: bytes, trace=None) -> int:
-        return query.count(self, pattern, trace)
+    def count(self, pattern: bytes) -> int:
+        return query.count(self, pattern)
 
     def count_baseline(self, pattern: bytes) -> int:
         """Count on the raw-text baseline index (requires --baseline at build)."""
@@ -89,8 +87,9 @@ class TextIndex:
 
 def build_index(data: bytes, lam: int, with_baseline: bool = False) -> TextIndex:
     """Build the full index for a raw byte string."""
-    if not 1 <= lam <= MAX_LAMBDA:
-        raise InvalidParameterError("chunk size must be between 1 and %d" % MAX_LAMBDA)
+    if not isinstance(lam, numbers.Integral) or not 1 <= lam <= MAX_LAMBDA:
+        raise InvalidParameterError("chunk size must be an integer from 1 to %d" % MAX_LAMBDA)
+    lam = operator.index(lam)  # np.int64(4) becomes 4, which counts and saves as 4 does
     codes, alphabet = densify(bytes(data))
     gram, level1 = grammar_mod.build(codes, lam)
     rlfm1 = RLFMIndex.from_bwt(bwt_mod.bwt_of(level1))
@@ -107,13 +106,11 @@ def build_index(data: bytes, lam: int, with_baseline: bool = False) -> TextIndex
 def _columns(*columns) -> bytes:
     """The row count (u32), then each column as its width byte and its values."""
     out = [struct.pack("<I", len(columns[0]))]
-    for column in columns:
-        column = np.asarray(column)
-        top = int(column.max()) if len(column) else 0
+    for column in map(np.asarray, columns):
         if len(column) and column.min() < 0:
             raise ValueError("index fields must be nonnegative")
-        width = np.min_scalar_type(top).itemsize
-        out.append(bytes([width]) + column.astype("<u%d" % width).tobytes())
+        column = narrowest(column)  # little-endian; a nonnegative int64 has its uint64's bytes
+        out.append(bytes([column.itemsize]) + column.tobytes())
     return b"".join(out)
 
 
@@ -130,9 +127,7 @@ def _unpack(buf: io.BytesIO, fmt: str) -> tuple:
 
 
 def _read_columns(buf: io.BytesIO, count: int) -> list[np.ndarray]:
-    """``count`` columns written by ``_columns``, each at its stored width:
-    unsigned at widths 1, 2 and 4, and int64 at width 8, where numpy would
-    not take uint64 as repeat counts or mix it with int64."""
+    """``count`` columns written by ``_columns``, each at its width's dtype."""
     (rows,) = _unpack(buf, "<I")
     columns = []
     for _ in range(count):
@@ -140,10 +135,8 @@ def _read_columns(buf: io.BytesIO, count: int) -> list[np.ndarray]:
         if width not in COLUMN_DTYPES:
             raise ValueError("column width %d is not 1, 2, 4 or 8" % width)
         column = np.frombuffer(_take(buf, rows * width), dtype=COLUMN_DTYPES[width])
-        if width == 8:
-            if rows and int(column.max()) >> 63:
-                raise ValueError("a column value exceeds int64")
-            column = column.view("<i8")
+        if width == 8 and rows and column.min() < 0:  # a value past int64 reads negative
+            raise ValueError("a column value exceeds int64")
         columns.append(column)
     return columns
 

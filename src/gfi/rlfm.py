@@ -49,6 +49,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# The dtype of an index file column of each width, built or loaded:
+# unsigned at widths 1, 2 and 4, and int64 at width 8, where numpy would not
+# take uint64 as repeat counts or mix it with int64.
+COLUMN_DTYPES = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4"), 8: np.dtype("<i8")}
+
+
+def narrowest(values: np.ndarray) -> np.ndarray:
+    """Nonnegative ``values`` at the dtype of the narrowest width that holds them."""
+    width = np.min_scalar_type(int(values.max(initial=0))).itemsize
+    return values.astype(COLUMN_DTYPES[width], copy=False)
+
+
 @dataclass
 class RankStats:
     rank_calls: int = 0
@@ -69,10 +81,10 @@ class RLFMIndex:
     """
 
     def __init__(self, run_heads, run_lengths):
-        # The runs keep the width they come in.  Heads as narrow as the
-        # build and the file make them keep the checks cheap and let the
-        # stable sort take numpy's radix path instead of timsort on int64;
-        # only the run starts and prefix sums derived here are int64.
+        # The runs keep the width they come in, the stored one from the
+        # build and the file alike.  Narrow heads keep the checks cheap and
+        # let the stable sort take numpy's radix path instead of timsort on
+        # int64; only the run starts and prefix sums derived here are int64.
         self.run_heads = np.asarray(run_heads)
         self.run_lengths = np.asarray(run_lengths)
         self.alphabet_size = int(self.run_heads.max()) + 1 if len(self.run_heads) else 1
@@ -102,7 +114,7 @@ class RLFMIndex:
         is_start = np.ones(len(bwt), dtype=bool)  # an empty BWT has no runs
         is_start[1:] = bwt[1:] != bwt[:-1]
         starts = np.flatnonzero(is_start)
-        return cls(run_heads=bwt[starts], run_lengths=np.diff(starts, append=len(bwt)))
+        return cls(run_heads=bwt[starts], run_lengths=narrowest(np.diff(starts, append=len(bwt))))
 
     @property
     def run_count(self) -> int:

@@ -5,50 +5,42 @@ text, so they bypass the dictionary search entirely and are answered from
 this trie.  The trie is its levels, depth 1 first, each a set of
 parallel columns over the level's nodes in lexicographic order: edge
 code, count and, above the deepest level, child count.  The build makes
-that form and the index file stores it, which makes the serialized form
-deterministic.  In that order, the level-order layout of Jacobson's
-succinct trees, the children of a node are one contiguous run of ids
-with their edge codes ascending, so one array of child-slice bounds, the
-running sum of the child counts, is all a lookup needs: each pattern
-code is one binary search over the current node's child edges.  The
-build settles that order with one sort per block of levels: each text
-position's node rank and next codes packed into one int64 key, as
-``bwt.suffix_array`` packs its first round.
+that form, at the stored widths, and the index file stores it, which
+makes the serialized form deterministic.  In that order, the level-order
+layout of Jacobson's succinct trees, the children of a node are one
+contiguous run of ids with their edge codes ascending, so one array of
+child-slice bounds, the running sum of the child counts, is all a lookup
+needs: each pattern code is one binary search over the current node's
+child edges.  The build settles that order with one sort per block of
+levels: each text position's node rank and next codes packed into one
+int64 key, as ``bwt.suffix_array`` packs its first round.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 
 import numpy as np
+
+from gfi.rlfm import narrowest
 
 
 class ShortPatternTrie:
     """Trie of depth lam-1 over the dense alphabet; node counts are exact."""
 
     def __init__(self, levels):
-        """The trie from its levels, depth 1 first, each a tuple of columns:
-        its nodes' edges and counts in level order and, on every level above
-        the deepest, their child counts.  ``levels`` keeps each child-count
-        column as it comes, and each level's edges and counts as slices of
-        two read-only columns joined across the levels at the widest one's
-        width, which ``count`` reads; only the child slices are int64."""
-        levels = [tuple(map(np.asarray, level)) for level in levels]
-        rows = [len(level[0]) for level in levels] + [0]
+        """The trie from its levels, depth 1 first, each a tuple of columns,
+        kept as they come: its nodes' edges and counts in level order and,
+        above the deepest level, their child counts.  ``count`` reads the
+        int64 child slices and read-only joins of the levels' edges and counts."""
+        self.levels = levels = [tuple(map(np.asarray, level)) for level in levels]
+        rows = [len(level[0]) for level in levels]
         self.node_count = n = sum(rows)  # the root excluded
-        # Node p's children are the ids kids[p]+1 .. kids[p+1], and their
-        # edges are edges[kids[p]:kids[p+1]]; the root is node 0, the ids
-        # after it come level by level, and the deepest level has no children.
-        kids = np.full(n + 2, n, dtype=np.int64)
-        kids[:2] = 0, rows[0]
-        last = 0  # the last id above level d
         for d, level in enumerate(levels, 1):
             if any(len(column) != rows[d - 1] for column in level):
                 raise ValueError("trie level %d's columns differ in length" % d)
             if not rows[d - 1]:
                 raise ValueError("trie level %d holds no nodes" % d)
-            first, last = last + 1, last + rows[d - 1]
             if d < len(levels):
                 # No count above the next level's row count, so their int64
                 # sum cannot wrap back to it.
@@ -56,7 +48,13 @@ class ShortPatternTrie:
                 if not 0 <= below.min() <= below.max() <= bound or below.sum() != bound:
                     message = "trie level %d's child counts must lie in 0..%d and sum to %d"
                     raise ValueError(message % (d, bound, bound))
-                kids[first + 1 : last + 2] = last + np.cumsum(below, dtype=np.int64)
+        # Node p's children are the ids kids[p]+1 .. kids[p+1], with edges
+        # edges[kids[p]:kids[p+1]]: kids sums the child counts of the root,
+        # node 0, and then of the upper levels' nodes; the deepest have none.
+        kids = np.full(n + 2, n, dtype=np.int64)
+        upper = kids[: 2 + sum(rows[:-1])]
+        np.concatenate([[0], rows[:1] or [0], *(level[2] for level in levels[:-1])], out=upper)
+        np.cumsum(upper, out=upper)
         empty = [np.zeros(0, dtype=np.uint8)]
         edges, counts = (np.concatenate([level[i] for level in levels] or empty) for i in (0, 1))
         edges.flags.writeable = counts.flags.writeable = False
@@ -66,10 +64,6 @@ class ShortPatternTrie:
         rising[kids] = True
         if not rising.all():
             raise ValueError("a trie node's child edges must strictly increase")
-        ends = list(itertools.accumulate(rows, initial=0))
-        self.levels = [
-            (edges[a:b], counts[a:b], *level[2:]) for level, a, b in zip(levels, ends, ends[1:])
-        ]
         self.kids, self.edges, self.counts = memoryview(kids), memoryview(edges), memoryview(counts)
 
     @classmethod
@@ -124,7 +118,7 @@ class ShortPatternTrie:
                 levels[-1] += (np.bincount(keys[real], minlength=top),)
             levels += block[::-1]
             d += j
-        return cls(levels)
+        return cls([tuple(map(narrowest, level)) for level in levels])
 
     def count(self, codes: bytes) -> int:
         """Occurrences of the code bytes, 0 when no text substring spells them."""

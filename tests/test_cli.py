@@ -145,6 +145,20 @@ def test_bench_stops_at_a_length_beyond_the_text(tmp_path, capsys):
     assert err == "length 2^4 exceeds the text\n"
 
 
+def test_bench_refuses_a_huge_length_before_building_it(tmp_path, capsys):
+    """2^40000000000 is a 5 GB integer: the length is compared with the
+    text through its exponent, so the refusal comes at once."""
+    corpus = tmp_path / "c.txt"
+    corpus.write_bytes(b"bacabacaacbcbca\x00")
+    idx_file = tmp_path / "c.gfi"
+    save_index_file(build_index(b"bacabacaacbcbca", 3), str(idx_file))
+    status, out, err = run(capsys, "bench", "-x", str(idx_file), "--text", str(corpus),
+                           "--lengths", "40000000000..40000000000", "--samples", "4")
+    assert status == 1
+    assert out.strip().splitlines()[1:] == []
+    assert err == "length 2^40000000000 exceeds the text\n"
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_bench_rejects_samples_below_one(tmp_path, capsys, monkeypatch, samples):
     def no_loading(*args):

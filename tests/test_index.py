@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import struct
 
@@ -105,6 +106,21 @@ def test_rejects_version_2_with_rebuild_hint():
 def test_rejects_bad_lambda():
     with pytest.raises(InvalidParameterError):
         build_index(b"abc", 0)
+
+
+@pytest.mark.parametrize("lam", [4.0, 2.5, "4", None])
+def test_rejects_a_chunk_size_that_is_not_an_integer(lam):
+    """A float or string chunk size would build an index that cannot count
+    or save; it is a parameter error, as a chunk size outside 1..255 is."""
+    with pytest.raises(InvalidParameterError, match="must be an integer"):
+        build_index(b"bacabacaacbcbc", lam)
+
+
+def test_numpy_integer_chunk_size_builds_as_a_plain_int():
+    idx = build_index(b"bacabacaacbcbc", np.int64(4))
+    assert type(idx.grammar.lam) is int
+    assert idx.count(b"cabaca") == 1
+    assert save_index(idx) == save_index(build_index(b"bacabacaacbcbc", 4))
 
 
 def test_lambda_limited_to_one_header_byte():
@@ -346,16 +362,69 @@ def test_build_hands_rlfm_narrow_heads(running_example_index, wide_rules_index):
         assert idx.rlfm0.run_heads.dtype == np.min_scalar_type(idx.alphabet.size)
 
 
+def _stored_columns(idx: TextIndex) -> list[np.ndarray]:
+    """The columns the file stores: the level-1 runs, the baseline runs and
+    every trie level's edges, counts and, above the deepest, child counts."""
+    runs = [idx.rlfm1.run_heads, idx.rlfm1.run_lengths, *idx.baseline_runs]
+    return runs + [column for level in idx.trie.levels for column in level]
+
+
 def test_loaded_columns_keep_their_stored_widths(wide_rules_index):
-    loaded = load_index(save_index(wide_rules_index))
+    blob = save_index(wide_rules_index)
+    loaded = load_index(blob)
     assert loaded.rlfm1.run_heads.dtype == np.uint16
-    rlfm1, rlfm0, trie = loaded.rlfm1, loaded.rlfm0, loaded.trie
-    for column in (
-        rlfm1.run_heads, rlfm1.run_lengths, rlfm0.run_heads, rlfm0.run_lengths,
-        np.asarray(trie.edges), np.asarray(trie.counts), *(level[2] for level in trie.levels[:-1]),
-    ):
+    assert len(loaded.trie.levels) == 3
+    for column in _stored_columns(loaded):
         assert column.dtype == np.min_scalar_type(int(column.max()))
-        assert not column.flags.writeable  # a view of the file's bytes, not a copy
+        assert not column.flags.writeable
+        # a view of the bytes read from the file, not a copy made in memory
+        read = column
+        while isinstance(read, np.ndarray):
+            read = read.base
+        assert isinstance(read, bytes) and read in blob
+        assert np.shares_memory(column, np.frombuffer(read, dtype=np.uint8))
+    # The joined copies that count walks are read-only too.
+    assert not np.asarray(loaded.trie.edges).flags.writeable
+    assert not np.asarray(loaded.trie.counts).flags.writeable
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["running_example", "wide_rules", "art_2", "art_4", "art_8", "art_16", "lambda_1", "one_byte"],
+)
+def test_built_and_loaded_index_hold_equal_columns(request, case):
+    """A built index and its saved and loaded copy hold the same stored
+    columns at the same dtypes, the build's at the width the file takes."""
+    get = request.getfixturevalue
+    if case in ("running_example", "wide_rules"):
+        built = get(case + "_index")
+    elif case.startswith("art_"):
+        built = build_index(get("artificial_text"), int(case[4:]), with_baseline=True)
+    elif case == "lambda_1":
+        built = build_index(b"bacabacaacbcbc", 1, with_baseline=True)
+    else:
+        built = build_index(b"x", 4, with_baseline=True)
+    loaded = load_index(save_index(built))
+    assert len(built.trie.levels) == min(built.grammar.lam - 1, built.n)
+    assert [len(level) for level in built.trie.levels] == [len(level) for level in loaded.trie.levels]
+    for made, read in zip(_stored_columns(built), _stored_columns(loaded), strict=True):
+        assert made.dtype == read.dtype
+        assert np.array_equal(made, read)
+    for made, read in zip((built.trie.edges, built.trie.counts, built.trie.kids),
+                          (loaded.trie.edges, loaded.trie.counts, loaded.trie.kids)):
+        assert np.asarray(made).dtype == np.asarray(read).dtype
+        assert np.array_equal(made, read)
+
+
+def test_save_rejects_a_negative_field(running_example_index):
+    """The trie does not check the signs of its counts; the writer does, so
+    a count of -1 is refused rather than written at a wrapped width."""
+    levels = [[np.array(column, dtype=np.int64) for column in level]
+              for level in running_example_index.trie.levels]
+    levels[-1][1][0] = -1
+    negative = dataclasses.replace(running_example_index, trie=ShortPatternTrie(levels))
+    with pytest.raises(ValueError, match="index fields must be nonnegative"):
+        save_index(negative)
 
 
 def _sections_of(blob: bytes) -> dict[str, bytes]:
@@ -404,6 +473,7 @@ def test_columns_re_encoded_at_width_8_load_and_count_alike(fuzz_blob):
     canonical, loaded = load_index(blob), load_index(wide)
     assert loaded.rlfm1.run_heads.dtype == np.int64
     assert np.asarray(loaded.trie.edges).dtype == np.int64
+    assert all(level[0].dtype == np.int64 for level in loaded.trie.levels)
     assert all(level[2].dtype == np.int64 for level in loaded.trie.levels[:-1])
     assert save_index(loaded) == blob
     patterns = sorted(_substrings(text, 12)) + [b"abcabc", b"ccc", b"d", b"aaaaaaaa"]
