@@ -70,11 +70,15 @@ def _cmd_count(args) -> int:
 def _exponent_range(text: str) -> tuple[int, int]:
     """The A..B of --lengths as two ints with 0 <= A <= B."""
     match = re.fullmatch(r"(\d+)\.\.(\d+)", text, re.ASCII)
-    if match is None or int(match[1]) > int(match[2]):
+    try:  # no match, or a bound past the digits Python converts (4,300 by default)
+        lo, hi = int(match[1]), int(match[2])
+    except (TypeError, ValueError):
+        lo, hi = 1, 0  # refused below
+    if lo > hi:
         raise InvalidParameterError(
             "--lengths must be A..B with integers 0 <= A <= B, not %r" % text
         )
-    return int(match[1]), int(match[2])
+    return lo, hi
 
 
 def _cmd_bench(args) -> int:

@@ -1,4 +1,4 @@
-"""Index assembly and the on-disk format (version 3).
+"""Index assembly and the on-disk format (version 4).
 
 The serialized file stores only primary data: the alphabet map, the rule
 strings in lexicographic order, the run-length compressed BWT of the
@@ -15,10 +15,8 @@ in which each rule ends with a 0 byte, a code no text uses, so one
 one width byte at the narrowest of 1, 2, 4 or 8 bytes per value that
 holds its largest value (``rlfm.narrowest``), so its values are limited
 only by int64; built or loaded, it keeps that width in memory.  The trie
-is one such column set per level, the ``ShortPatternTrie.levels`` the
-build makes, so each level's columns take the width of that level's own
-values: only the few shallow nodes have large counts, and the deepest
-level's nodes, which have no children, store no child counts.
+is one edge and one child-count column per level, the
+``ShortPatternTrie.levels`` the build makes; no node count is stored.
 A CRC-32 of everything before it ends the file.  Loading checks the
 structure first and the checksum last, and every file it rejects raises
 ``CorruptIndexError``.
@@ -45,7 +43,7 @@ from gfi.rlfm import COLUMN_DTYPES, RLFMIndex, narrowest
 from gfi.shorttrie import ShortPatternTrie
 
 MAGIC = b"GFI1"
-VERSION = 3
+VERSION = 4
 MAX_LAMBDA = 255  # the header stores the chunk size in one byte
 
 
@@ -143,18 +141,21 @@ def _read_columns(buf: io.BytesIO, count: int) -> list[np.ndarray]:
 
 def _trie_levels(trie: ShortPatternTrie) -> bytes:
     """The trie's level count (u8), then each level's columns: its nodes'
-    edges and counts and, above the deepest level, child counts.  The
-    root's child count is level 1's row count, so it is not stored."""
+    edges and child counts.  The root's child count is level 1's row
+    count, so it is not stored."""
     return bytes([len(trie.levels)]) + b"".join(_columns(*level) for level in trie.levels)
 
 
 def _read_trie(buf: io.BytesIO, height: int, sigma: int) -> ShortPatternTrie:
     """The ``height`` levels written by ``_trie_levels``; the trie checks
-    their shape, and every edge must be an alphabet code."""
-    trie = ShortPatternTrie([_read_columns(buf, 2 + (d < height)) for d in range(1, height + 1)])
-    edges = np.asarray(trie.edges)
-    if len(edges) and not 1 <= edges.min() <= edges.max() <= sigma:
-        raise ValueError("a trie edge lies outside the alphabet codes 1..%d" % sigma)
+    their shape.  Every edge must be an alphabet code or, on d-1 of level
+    d's nodes, the 0 that pads the windows of the text's last d-1 positions."""
+    trie = ShortPatternTrie([_read_columns(buf, 2) for _ in range(height)])
+    for d, (edges, _) in enumerate(trie.levels, 1):
+        if edges.max() > sigma:
+            raise ValueError("a trie edge lies outside the alphabet codes 1..%d" % sigma)
+        if np.count_nonzero(edges == 0) != d - 1:
+            raise ValueError("trie level %d must hold %d padding edges" % (d, d - 1))
     return trie
 
 
@@ -210,7 +211,7 @@ def _read_index(data: bytes) -> TextIndex:
     if _take(buf, 4) != MAGIC:
         raise CorruptIndexError("not a gfi index file")
     version, lam = _unpack(buf, "<BB")
-    if version in (1, 2):
+    if version in (1, 2, 3):
         raise CorruptIndexError("index file is format version %d; rebuild the index" % version)
     if version != VERSION:
         raise CorruptIndexError("unsupported index format version %d" % version)
@@ -265,10 +266,7 @@ def _read_index(data: bytes) -> TextIndex:
     if trie.levels:
         freq_of_code = np.zeros(sigma + 1, dtype=np.int64)
         np.add.at(freq_of_code, np.frombuffer(rules, dtype=np.uint8), np.repeat(freqs, lengths + 1))
-        depth1 = np.zeros(sigma + 1, dtype=np.int64)
-        edges, counts, *_ = trie.levels[0]
-        depth1[edges] = counts
-        if not np.array_equal(depth1[1:], freq_of_code[1:]):
+        if [trie.count(bytes([c])) for c in range(1, sigma + 1)] != freq_of_code[1:].tolist():
             raise ValueError("the level-1 runs and the trie's depth-1 counts disagree")
     if baseline is not None and baseline[1].sum(dtype=np.int64) != n + 1:
         raise ValueError("the level-1 runs and the baseline disagree on the text length")

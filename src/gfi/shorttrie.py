@@ -2,18 +2,23 @@
 
 Patterns shorter than the chunk size can straddle chunk boundaries in the
 text, so they bypass the dictionary search entirely and are answered from
-this trie.  The trie is its levels, depth 1 first, each a set of
-parallel columns over the level's nodes in lexicographic order: edge
-code, count and, above the deepest level, child count.  The build makes
-that form, at the stored widths, and the index file stores it, which
-makes the serialized form deterministic.  In that order, the level-order
-layout of Jacobson's succinct trees, the children of a node are one
-contiguous run of ids with their edge codes ascending, so one array of
-child-slice bounds, the running sum of the child counts, is all a lookup
-needs: each pattern code is one binary search over the current node's
-child edges.  The build settles that order with one sort per block of
-levels: each text position's node rank and next codes packed into one
-int64 key, as ``bwt.suffix_array`` packs its first round.
+this trie.  It is the trie of the text's windows: each text position i
+opens one window, its next D = min(lam-1, n) codes with 0 past the text's
+end, and the trie holds the D-code labels of those windows.  Its levels,
+depth 1 first, are each two parallel columns over the level's nodes in
+lexicographic order: edge code and child count.  The children of a
+deepest node are the windows it spells, so every node has at least one
+child, and a pattern's count is the number of windows below its node; no
+count is stored.  The build makes that form, at the stored widths, and the
+index file stores it, which makes the serialized form deterministic.  In
+that order, the level-order layout of Jacobson's succinct trees, the
+children of a node are one contiguous run of ids with their edge codes
+ascending, so one array of child-slice bounds, the running sum of the
+child counts, is all a lookup needs: each pattern code is one binary
+search over the current node's child edges, and each level below the
+pattern's node is two reads.  The build settles that order with one sort
+per block of levels: each text position's node rank and next codes packed
+into one int64 key, as ``bwt.suffix_array`` packs its first round.
 """
 
 from __future__ import annotations
@@ -26,103 +31,93 @@ from gfi.rlfm import narrowest
 
 
 class ShortPatternTrie:
-    """Trie of depth lam-1 over the dense alphabet; node counts are exact."""
+    """Trie of the text's windows of lam-1 codes over the dense alphabet."""
 
     def __init__(self, levels):
-        """The trie from its levels, depth 1 first, each a tuple of columns,
-        kept as they come: its nodes' edges and counts in level order and,
-        above the deepest level, their child counts.  ``count`` reads the
-        int64 child slices and read-only joins of the levels' edges and counts."""
+        """The trie from its levels, depth 1 first, each an (edges, child
+        counts) pair, kept as they come.  ``count`` reads the int64 child
+        slices and a read-only join of the levels' edges."""
         self.levels = levels = [tuple(map(np.asarray, level)) for level in levels]
-        rows = [len(level[0]) for level in levels]
-        self.node_count = n = sum(rows)  # the root excluded
-        for d, level in enumerate(levels, 1):
-            if any(len(column) != rows[d - 1] for column in level):
+        rows = [len(edges) for edges, _ in levels]
+        self.node_count = n = sum(rows)  # the root and the windows excluded
+        if 0 in rows:
+            raise ValueError("trie level %d holds no nodes" % (rows.index(0) + 1))
+        for d, (edges, below) in enumerate(levels, 1):
+            if len(below) != rows[d - 1]:
                 raise ValueError("trie level %d's columns differ in length" % d)
-            if not rows[d - 1]:
-                raise ValueError("trie level %d holds no nodes" % d)
+            # No count above the next level's row count, so their int64 sum
+            # cannot wrap back to it.
             if d < len(levels):
-                # No count above the next level's row count, so their int64
-                # sum cannot wrap back to it.
-                below, bound = level[2], rows[d]
-                if not 0 <= below.min() <= below.max() <= bound or below.sum() != bound:
-                    message = "trie level %d's child counts must lie in 0..%d and sum to %d"
-                    raise ValueError(message % (d, bound, bound))
+                if not 1 <= below.min() <= below.max() <= rows[d] or below.sum() != rows[d]:
+                    message = "trie level %d's child counts must lie in 1..%d and sum to %d"
+                    raise ValueError(message % (d, rows[d], rows[d]))
+            # Window counts of at most 2 bytes sum below 2**48; wider ones are summed exactly.
+            elif below.min() < 1 or below.itemsize > 2 and n + sum(below.tolist()) >> 63:
+                raise ValueError("trie level %d's windows must be 1 or more, summing in int64" % d)
         # Node p's children are the ids kids[p]+1 .. kids[p+1], with edges
         # edges[kids[p]:kids[p+1]]: kids sums the child counts of the root,
-        # node 0, and then of the upper levels' nodes; the deepest have none.
-        kids = np.full(n + 2, n, dtype=np.int64)
-        upper = kids[: 2 + sum(rows[:-1])]
-        np.concatenate([[0], rows[:1] or [0], *(level[2] for level in levels[:-1])], out=upper)
-        np.cumsum(upper, out=upper)
-        empty = [np.zeros(0, dtype=np.uint8)]
-        edges, counts = (np.concatenate([level[i] for level in levels] or empty) for i in (0, 1))
-        edges.flags.writeable = counts.flags.writeable = False
+        # node 0, and then of every level's nodes, the windows below the
+        # deepest numbered after the nodes.
+        kids = np.empty(n + 2, dtype=np.int64)
+        np.concatenate([[0], rows[:1] or [0], *(below for _, below in levels)], out=kids)
+        np.cumsum(kids, out=kids)
+        edges = np.concatenate([edges for edges, _ in levels] or [np.zeros(0, dtype=np.uint8)])
+        edges.flags.writeable = False
         # Each edge must exceed the one before it unless it starts a sibling run.
         rising = np.ones(n + 1, dtype=bool)
         rising[1:n] = edges[1:] > edges[:-1]
-        rising[kids] = True
+        rising[kids[kids <= n]] = True
         if not rising.all():
             raise ValueError("a trie node's child edges must strictly increase")
-        self.kids, self.edges, self.counts = memoryview(kids), memoryview(edges), memoryview(counts)
+        self.kids, self.edges = memoryview(kids), memoryview(edges)
 
     @classmethod
     def build(cls, text: np.ndarray, lam: int) -> "ShortPatternTrie":
-        """Count all k-mers for k < lam with one sort per block of levels.
+        """The windows' trie, with one sort per block of levels.
 
         A block starting at depth d keys each text position by its depth-d
         node rank followed by its next j codes in base sigma+1, 0 past the
         text's end, for the largest j whose keys stay below 2^62.  Key
         order is lexicographic order, so one ``np.unique`` settles j levels:
         the depth-(d+i) nodes are the distinct keys without their last j-i
-        digits, less those ending in padding.  The levels are read deepest
-        first, each one's counts summed from the level below.  Depth 0 keys
-        on the codes alone, and positions get new ranks only when another
-        block follows.  Codes must be at least 1.
+        digits, and a node's child count is the size of its group among the
+        nodes below.  The inverse of that sort ranks the positions for the
+        next block, and in the last block its counts are the windows below
+        each deepest node.  Codes must be at least 1.
         """
         text = np.asarray(text)
         n = len(text)
         if n and text.min() < 1:
             raise ValueError("the trie needs codes of at least 1; 0 pads past the text's end")
         depth, base = min(lam - 1, n), (int(text.max()) + 1 if n else 1)
-        levels = []  # per level, top down: its edges, its counts and, once known, its child counts
-        rank, d, size = None, 0, 1  # depth-d ranks of positions 0..n-d-1; level size
+        edges, below = [], []  # per level, top down: edge codes; child counts from the root's
+        rank, d = None, 0  # depth-d node ranks of all n positions; None at the root
         while d < depth:
-            top, j = size, 1
+            top, j = len(edges[-1]) if edges else 1, 1
             while d + j < depth and top * base ** (j + 1) <= 2**62:
                 j += 1
-            key = text[d:].astype(np.int64) if rank is None else rank * base + text[d:]
-            for i in range(1, j):
+            key, first = (text.astype(np.int64), 1) if rank is None else (rank, 0)
+            for i in range(first, j):
                 key *= base
                 key[: n - d - i] += text[d + i :]
-            keys, *inverse, cnt = np.unique(key, return_inverse=d + j < depth, return_counts=True)
+            keys, rank = np.unique(key, return_inverse=d + j < depth, return_counts=d + j == depth)
             del key
-            code = keys % base
-            real = code != 0
-            size = int(np.count_nonzero(real))
-            if inverse:
-                rank = (np.cumsum(real) - 1)[inverse.pop()[: n - d - j]]
-            block, below = [], ()
-            for i in range(j, 0, -1):  # keys, cnt, code, real: level d+i; below: its child counts
-                block.append((code[real], cnt[real], *below))
+            for _ in range(j):  # keys: the level d+i nodes, i from j down to 1
+                edges.insert(d, keys % base)
                 keys //= base
-                if i == 1:
-                    break
                 start = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-                below = np.add.reduceat(real, start, dtype=np.int64)
-                keys, cnt = keys[start], np.add.reduceat(cnt, start)
-                code = keys % base
-                real = code != 0
-                below = (below[real],)
-            if levels:  # level d's child counts; the root's is level d+1's row count
-                levels[-1] += (np.bincount(keys[real], minlength=top),)
-            levels += block[::-1]
+                below.insert(d, np.diff(start, append=len(keys)))  # level d+i-1's
+                keys = keys[start]
             d += j
-        return cls([tuple(map(narrowest, level)) for level in levels])
+        below.append(rank)  # the last sort's counts: the windows below each deepest node
+        return cls([(narrowest(e), narrowest(b)) for e, b in zip(edges, below[1:])])
 
     def count(self, codes: bytes) -> int:
-        """Occurrences of the code bytes, 0 when no text substring spells them."""
-        kids, edges = self.kids, self.edges
+        """Occurrences of the code bytes, 0 when no text substring spells
+        them or they are empty or longer than the trie's depth."""
+        kids, edges, below = self.kids, self.edges, len(self.levels) - len(codes)
+        if not codes or below < 0:
+            return 0
         node = 0
         for code in codes:
             hi = kids[node + 1]
@@ -130,4 +125,7 @@ class ShortPatternTrie:
             if j == hi or edges[j] != code:
                 return 0
             node = j + 1
-        return self.counts[node - 1] if node else 0
+        lo = hi = node
+        for _ in range(below):
+            lo, hi = kids[lo] + 1, kids[hi + 1]
+        return kids[hi + 1] - kids[lo]

@@ -63,8 +63,7 @@ def corrupt_trie_rows(blob: bytes, damage: str) -> bytes:
     trie = sum(sizes[name] for name in ("header", "alphabet", "grammar", "level1_bwt"))
     (rows,) = struct.unpack_from("<I", blob, trie + 1)  # level 1's, after the level count
     edges = trie + 6  # after the row count and the column's width byte
-    counts = edges + rows + 1
-    child_counts = counts + rows * blob[counts - 1] + 1
+    child_counts = edges + rows + 1
     assert blob[edges - 1] == blob[child_counts - 1] == 1  # both columns one byte wide
     assert blob[edges : edges + 3] == b"\x01\x02\x03"
     out = bytearray(blob)
@@ -81,15 +80,17 @@ def relabelled_trie_index(text: bytes, lam: int, damage: str) -> bytes:
     """The index file of ``text`` at ``lam`` with a well-formed but wrong
     trie, sealed by ``save_index``: the root's last edge, or node 1's last
     child edge (depth 2), relabelled to sigma + 1, which keeps every sibling
-    list increasing; or the root's first two children's counts swapped."""
+    list increasing; or the window counts of the first and the last deepest
+    node swapped, which keeps every level's shape."""
     idx = build_index(text, lam, with_baseline=True)
     levels = [[np.array(column) for column in level] for level in idx.trie.levels]
-    (edges, counts, child_counts), (deep_edges, *_) = levels[:2]
+    (edges, child_counts), (deep_edges, _) = levels[:2]
     if damage == "root_edge":
         edges[-1] = idx.alphabet.size + 1
     elif damage == "deep_edge":
         deep_edges[child_counts[0] - 1] = idx.alphabet.size + 1
     else:
-        counts[[0, 1]] = counts[[1, 0]]
+        windows = levels[-1][1]
+        windows[[0, -1]] = windows[[-1, 0]]
     idx.trie = ShortPatternTrie(levels)
     return save_index(idx)

@@ -96,11 +96,20 @@ def test_rejects_version_1_with_rebuild_hint():
 
 
 def test_rejects_version_2_with_rebuild_hint():
-    """Version 2 stored the trie as one column set; version 3 stores one per level."""
+    """Version 2 stored the trie as one column set; version 4 stores two
+    columns per level."""
     blob = save_index(build_index(b"abc", 2))
-    assert blob[4] == 3
+    assert blob[4] == 4
     with pytest.raises(CorruptIndexError, match="version 2; rebuild the index"):
         load_index(blob[:4] + b"\x02" + blob[5:])
+
+
+def test_rejects_version_3_with_rebuild_hint():
+    """Version 3 stored each trie node's count; version 4 derives it from
+    the windows below the node."""
+    blob = save_index(build_index(b"bacabacaacbcbc", 4))
+    with pytest.raises(CorruptIndexError, match="version 3; rebuild the index"):
+        load_index(blob[:4] + b"\x03" + blob[5:])
 
 
 def test_rejects_bad_lambda():
@@ -157,7 +166,7 @@ def test_rejects_corrupt_trie_section(damage):
     assert load_index(blob).count(b"a") == text.count(b"a") == 25
     reason = "child edges must strictly increase"
     if damage == "miscounted":
-        reason = "child counts must lie in 0..7 and sum to 7"
+        reason = "child counts must lie in 1..8 and sum to 8"
     with pytest.raises(CorruptIndexError, match=reason):
         load_index(corrupt_trie_rows(blob, damage))
 
@@ -173,8 +182,8 @@ def test_rejects_corrupt_trie_section(damage):
 def test_rejects_wrong_trie_edges_and_counts(damage, reason):
     """Each damage keeps the trie well formed, and without the edge and
     depth-1 count checks the file loads and miscounts: count(b"c") gives 0
-    instead of 25, count(b"ac") 0 instead of 15, and count(b"a") 20
-    instead of 25."""
+    instead of 25, count(b"ac") 0 instead of 15, and, with the windows of
+    ``aac`` and ``cbc`` swapped, count(b"a") 30 instead of 25."""
     text = b"bacabacaacbcbc" * 5
     assert (text.count(b"a"), text.count(b"b"), text.count(b"c")) == (25, 20, 25)
     with pytest.raises(CorruptIndexError, match=reason):
@@ -182,8 +191,8 @@ def test_rejects_wrong_trie_edges_and_counts(damage, reason):
 
 
 def _trie_levels_of(blob: bytes) -> list[list[list[int]]]:
-    """The loaded trie's levels: per level its edges and counts and, above
-    the deepest, its nodes' child counts."""
+    """The loaded trie's levels: per level its edges and its nodes' child
+    counts, the windows below them on the deepest."""
     levels = load_index(blob).trie.levels
     return [[np.asarray(column).tolist() for column in level] for level in levels]
 
@@ -204,39 +213,39 @@ def _empty_levels(levels):
     """Level 1 without children and levels 2 and 3 empty, which agree on
     every row count; as a trie of depth 1 it would count every pattern of
     two or three codes 0."""
-    levels[0][2] = [0, 0, 0]
-    levels[1:] = [[[], [], []], [[], []]]
+    levels[0][1] = [0, 0, 0]
+    levels[1:] = [[[], []], [[], []]]
 
 
 def _moved_child(levels):
     """Node c's second child moved to node aa, which keeps the total and
-    every sibling list increasing; as one trie 4 levels deep it would count
-    ``cb`` 0 instead of 14 and ``aab`` 14 instead of 0."""
-    levels[0][2][2] -= 1
-    levels[1][2][0] += 1
+    every sibling list increasing; read through its child slices it would
+    count ``cb`` 0 instead of 14 and ``aab`` 2 instead of 0."""
+    levels[0][1][2] -= 1
+    levels[1][1][0] += 1
 
 
 def _wrapping_children(levels):
-    """Level 1's child counts 2**63 - 1, 2**63 - 1 and 9, which sum in
-    int64 to 7, level 2's row count, and in all to the node count 20; the
-    child slices built from them crashed the interpreter."""
-    levels[0][2] = [2**63 - 1, 2**63 - 1, len(levels[1][0]) + 2]
-    assert np.sum(levels[0][2], dtype=np.int64) == len(levels[1][0])
+    """Level 1's child counts 2**63 - 1, 2**63 - 1 and 10, which sum in
+    int64 to 8, level 2's row count; the child slices built from them
+    crashed the interpreter."""
+    levels[0][1] = [2**63 - 1, 2**63 - 1, len(levels[1][0]) + 2]
+    assert np.sum(levels[0][1], dtype=np.int64) == len(levels[1][0])
 
 
 @pytest.mark.parametrize(
     "damage, reason",
     [
         (_empty_levels, "trie level 2 holds no nodes"),
-        (_moved_child, "level 1's child counts must lie in 0..7 and sum to 7"),
-        (_wrapping_children, "level 1's child counts must lie in 0..7"),
+        (_moved_child, "level 1's child counts must lie in 1..8 and sum to 8"),
+        (_wrapping_children, "level 1's child counts must lie in 1..8"),
     ],
     ids=["empty_level", "moved_child", "wrapping_children"],
 )
 def test_rejects_inconsistent_trie_levels(fuzz_blob, damage, reason):
     _, blob = fuzz_blob
     levels = _trie_levels_of(blob)
-    assert [len(level[0]) for level in levels] == [3, 7, 10]
+    assert [len(level[0]) for level in levels] == [3, 8, 12]
     assert save_index(load_index(_with_trie_levels(blob, levels))) == blob
     damage(levels)
     with pytest.raises(CorruptIndexError, match=reason):
@@ -321,7 +330,7 @@ def _unary_index(n: int) -> TextIndex:
 
 @pytest.mark.parametrize("n", [2**32 + 3, 2**32])
 def test_fields_beyond_32_bits_round_trip_at_width_8(n):
-    """A level-1 run length and a trie count past 32 bits take 8-byte columns."""
+    """A level-1 run length and a trie window count past 32 bits take 8-byte columns."""
     index = _unary_index(n)
     blob = save_index(index)
     loaded = load_index(blob)
@@ -364,7 +373,7 @@ def test_build_hands_rlfm_narrow_heads(running_example_index, wide_rules_index):
 
 def _stored_columns(idx: TextIndex) -> list[np.ndarray]:
     """The columns the file stores: the level-1 runs, the baseline runs and
-    every trie level's edges, counts and, above the deepest, child counts."""
+    every trie level's edges and child counts."""
     runs = [idx.rlfm1.run_heads, idx.rlfm1.run_lengths, *idx.baseline_runs]
     return runs + [column for level in idx.trie.levels for column in level]
 
@@ -383,9 +392,8 @@ def test_loaded_columns_keep_their_stored_widths(wide_rules_index):
             read = read.base
         assert isinstance(read, bytes) and read in blob
         assert np.shares_memory(column, np.frombuffer(read, dtype=np.uint8))
-    # The joined copies that count walks are read-only too.
+    # The joined copy that count walks is read-only too.
     assert not np.asarray(loaded.trie.edges).flags.writeable
-    assert not np.asarray(loaded.trie.counts).flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -410,18 +418,17 @@ def test_built_and_loaded_index_hold_equal_columns(request, case):
     for made, read in zip(_stored_columns(built), _stored_columns(loaded), strict=True):
         assert made.dtype == read.dtype
         assert np.array_equal(made, read)
-    for made, read in zip((built.trie.edges, built.trie.counts, built.trie.kids),
-                          (loaded.trie.edges, loaded.trie.counts, loaded.trie.kids)):
+    for made, read in zip((built.trie.edges, built.trie.kids), (loaded.trie.edges, loaded.trie.kids)):
         assert np.asarray(made).dtype == np.asarray(read).dtype
         assert np.array_equal(made, read)
 
 
 def test_save_rejects_a_negative_field(running_example_index):
-    """The trie does not check the signs of its counts; the writer does, so
-    a count of -1 is refused rather than written at a wrapped width."""
+    """The trie does not check the signs of its edges; the writer does, so
+    an edge of -1 is refused rather than written at a wrapped width."""
     levels = [[np.array(column, dtype=np.int64) for column in level]
               for level in running_example_index.trie.levels]
-    levels[-1][1][0] = -1
+    levels[-1][0][0] = -1
     negative = dataclasses.replace(running_example_index, trie=ShortPatternTrie(levels))
     with pytest.raises(ValueError, match="index fields must be nonnegative"):
         save_index(negative)
@@ -441,14 +448,14 @@ def _at_width_8(section: bytes, widen: set[int], trie: bool = False) -> bytes:
     """A run section, or a trie section of one column set per level behind
     its level count, with the columns numbered in ``widen`` re-encoded at 8
     bytes per value in every column set; the values stay the same.  A trie
-    level's columns are edge, count and, above the deepest, child count."""
+    level's columns are edge and child count."""
     height = section[0] if trie else 1
     out, at = [section[:1]] if trie else [], 1 if trie else 0
     for level in range(1, height + 1):
         (rows,) = struct.unpack_from("<I", section, at)
         out.append(section[at : at + 4])
         at += 4
-        for number in range(3 if trie and level < height else 2):
+        for number in range(2):
             end = at + 1 + rows * section[at]  # the width byte, then the values
             column = section[at:end]
             if number in widen:
@@ -467,14 +474,14 @@ def test_columns_re_encoded_at_width_8_load_and_count_alike(fuzz_blob):
     text, blob = fuzz_blob
     sections = _sections_of(blob)
     sections["level1_bwt"] = _at_width_8(sections["level1_bwt"], {0})
-    sections["short_trie"] = _at_width_8(sections["short_trie"], {0, 2}, trie=True)
+    sections["short_trie"] = _at_width_8(sections["short_trie"], {0, 1}, trie=True)
     wide = reseal(b"".join(sections.values()))
     assert len(wide) > len(blob)
     canonical, loaded = load_index(blob), load_index(wide)
     assert loaded.rlfm1.run_heads.dtype == np.int64
     assert np.asarray(loaded.trie.edges).dtype == np.int64
     assert all(level[0].dtype == np.int64 for level in loaded.trie.levels)
-    assert all(level[2].dtype == np.int64 for level in loaded.trie.levels[:-1])
+    assert all(level[1].dtype == np.int64 for level in loaded.trie.levels)
     assert save_index(loaded) == blob
     patterns = sorted(_substrings(text, 12)) + [b"abcabc", b"ccc", b"d", b"aaaaaaaa"]
     for pattern in patterns:
@@ -521,8 +528,10 @@ def test_fuzz_byte_flips_with_resealed_checksum_never_crash(fuzz_blob):
     """With the checksum recomputed, only the structural checks stand between
     a flip and the query code.  Each flip must be rejected, or give an index
     whose counts run to an int on every substring up to length 12.  They need
-    not be right: a flipped count field can miscount silently, and it is the
-    checksum that catches that."""
+    not be right.  No stored count is left in the trie, but a changed edge
+    code below depth 1, alphabet byte or baseline run, or a level-1 head
+    moved to a rule with the same letters in another order, can load and
+    miscount silently; it is the checksum that catches those."""
     text, blob = fuzz_blob
     substrings = sorted(_substrings(text, 12))
     loaded = 0
@@ -536,6 +545,52 @@ def test_fuzz_byte_flips_with_resealed_checksum_never_crash(fuzz_blob):
             assert isinstance(idx.count(pattern), int)
             assert isinstance(idx.count_baseline(pattern), int)
     assert 0 < loaded < 300  # some flips reach the query code, some are rejected
+
+
+def _deep_edge_bytes(blob: bytes) -> tuple[range, set[int]]:
+    """The file offsets of the trie section, and of the edge codes below
+    depth 1 within it, read from the section's layout: the level count, then
+    per level the row count and each column's width byte and values."""
+    index = load_index(blob)
+    sizes = section_sizes(index)
+    names = list(sizes)
+    start = sum(sizes[name] for name in names[: names.index("short_trie")])
+    at, deep = start + 1, set()
+    for depth, level in enumerate(index.trie.levels, 1):
+        at += 4
+        for number, column in enumerate(level):
+            values = range(at + 1, at + 1 + column.nbytes)
+            if number == 0 and depth >= 2:
+                deep.update(values)
+            at = values.stop
+    return range(start, start + sizes["short_trie"]), deep
+
+
+@pytest.mark.parametrize("lam", [4, 8])
+def test_resealed_byte_sweep_over_the_trie_section(fuzz_blob, lam):
+    """Every byte of the trie section XORed with 1, 2, 0x80 and 0xff, the
+    checksum recomputed.  Each file must be rejected, or count every
+    substring of up to 12 characters right.  Only a changed edge code below
+    depth 1 may load and miscount: it relabels a node within its sibling
+    order, and the windows below it stay where they were."""
+    text, blob = fuzz_blob
+    if lam != 4:
+        blob = save_index(build_index(text, lam, with_baseline=True))
+    want = {pattern: naive_count(text, pattern) for pattern in _substrings(text, 12)}
+    section, deep_edges = _deep_edge_bytes(blob)
+    rejected = 0
+    for at in section:
+        for mask in (1, 2, 0x80, 0xFF):
+            damaged = bytearray(blob)
+            damaged[at] ^= mask
+            try:
+                idx = load_index(reseal(bytes(damaged)))
+            except CorruptIndexError:
+                rejected += 1
+                continue
+            if at not in deep_edges:
+                assert all(idx.count(p) == n for p, n in want.items()), (at, mask)
+    assert rejected > len(section)
 
 
 def _patch_baseline(blob: bytes, edit) -> bytes:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,27 +32,32 @@ def test_depth_zero_trie_is_empty():
 
 def test_rejects_malformed_node_arrays():
     # Node 2 would be its own child: level 1's child counts sum to 0, not 1.
-    with pytest.raises(ValueError, match="level 1's child counts must lie in 0..1 and sum to 1"):
-        ShortPatternTrie([([1], [2], [0]), ([1], [1])])
+    with pytest.raises(ValueError, match="level 1's child counts must lie in 1..1 and sum to 1"):
+        ShortPatternTrie([([1], [0]), ([1], [1])])
     # A level-2 node would be its own child: its level-1 parents have none.
-    with pytest.raises(ValueError, match="level 1's child counts must lie in 0..1 and sum to 1"):
-        ShortPatternTrie([([1, 2], [1, 1], [0, 0]), ([1], [1])])
+    with pytest.raises(ValueError, match="level 1's child counts must lie in 1..1 and sum to 1"):
+        ShortPatternTrie([([1, 2], [0, 0]), ([1], [1])])
     # Counts past the next level's rows whose int64 sum wraps to them: their
     # child slices crashed the interpreter.
-    with pytest.raises(ValueError, match="lie in 0..3"):
-        ShortPatternTrie([([1, 2, 3], [1] * 3, [2**63 - 1, 2**63 - 1, 5]), ([1, 2, 3], [1] * 3)])
+    with pytest.raises(ValueError, match="lie in 1..3"):
+        ShortPatternTrie([([1, 2, 3], [2**63 - 1, 2**63 - 1, 5]), ([1, 2, 3], [1] * 3)])
     with pytest.raises(ValueError, match="differ in length"):
         ShortPatternTrie([([1, 1], [2])])
     # Node 2 listed before its parent, here a level-2 node with children
     # of its own but no parent: level 1's child counts sum to 0, not 1.
-    with pytest.raises(ValueError, match="level 1's child counts must lie in 0..1 and sum to 1"):
-        ShortPatternTrie([([1], [2], [0]), ([1], [1], [1]), ([2], [1])])
+    with pytest.raises(ValueError, match="level 1's child counts must lie in 1..1 and sum to 1"):
+        ShortPatternTrie([([1], [0]), ([1], [1]), ([2], [1])])
     with pytest.raises(ValueError, match="level 2 holds no nodes"):
-        ShortPatternTrie([([1], [1], [0]), ([], [])])
+        ShortPatternTrie([([1], [0]), ([], [])])
     with pytest.raises(ValueError, match="strictly increase"):
         ShortPatternTrie([([2, 1], [1, 1])])
     with pytest.raises(ValueError, match="strictly increase"):
-        ShortPatternTrie([([1, 2], [2, 1], [2, 0]), ([1, 1], [1, 1])])
+        ShortPatternTrie([([1], [2]), ([1, 1], [1, 1])])
+    # A deepest node spells no window, or the windows' int64 sum wraps.
+    with pytest.raises(ValueError, match="level 2's windows must be 1 or more"):
+        ShortPatternTrie([([1], [1]), ([1], [0])])
+    with pytest.raises(ValueError, match="summing in int64"):
+        ShortPatternTrie([([1, 2], [2**62, 2**62])])
 
 
 def test_counts_match_naive_and_suffix_array():
@@ -79,48 +85,50 @@ def test_counts_match_naive_and_suffix_array():
 
 
 def test_node_counts_are_consistent():
-    """A node's count equals its children's counts plus one when the node's
-    label is the text suffix of that length (the occurrence nothing extends)."""
+    """A node's count, the windows below it, is its children's counts summed
+    and the number of text positions whose next codes, 0 past the text's
+    end, spell the node's label; ``count`` reads it for every label."""
     rng = random.Random(15)
     for _ in range(20):
         n = rng.randint(5, 200)
         text = np.array([rng.randint(1, 3) for _ in range(n)])
         lam = rng.randint(3, 6)
         trie = ShortPatternTrie.build(text, lam)
-        raw = text.astype(np.uint8).tobytes()
-        label = {0: b""}
-        children_sum = {node: 0 for node in range(trie.node_count + 1)}
-        parents = np.repeat(np.arange(trie.node_count + 1), np.diff(trie.kids))
-        for node in range(1, trie.node_count + 1):
-            parent = int(parents[node - 1])
-            label[node] = label[parent] + bytes([int(trie.edges[node - 1])])
-            children_sum[parent] += int(trie.counts[node - 1])
-        for node in range(1, trie.node_count + 1):
-            if len(label[node]) == lam - 1:
-                continue  # no children stored below the trie depth
-            tail = 1 if raw.endswith(label[node]) else 0
-            assert int(trie.counts[node - 1]) == children_sum[node] + tail
+        padded = text.astype(np.uint8).tobytes() + bytes(lam)
+        nodes, below = trie.node_count, np.diff(trie.kids)  # the deepest nodes' are windows
+        parents = np.repeat(np.arange(nodes + 1), below)[:nodes]
+        label = [b""]
+        for node in range(1, nodes + 1):
+            label.append(label[parents[node - 1]] + bytes([int(trie.edges[node - 1])]))
+        windows = [0] * (nodes + 1)
+        for node in range(nodes, -1, -1):  # each node's children come after it
+            if len(label[node]) == len(trie.levels):
+                windows[node] = int(below[node])
+            if node:
+                windows[parents[node - 1]] += windows[node]
+        assert windows[0] == n
+        for node in range(1, nodes + 1):
+            k = len(label[node])
+            assert windows[node] == sum(padded[i : i + k] == label[node] for i in range(n))
+            if 0 not in label[node]:
+                assert trie.count(label[node]) == windows[node]
 
 
 def _brute_force_levels(s: list, lam: int) -> list[list[list]]:
-    """Per level, from a dict of k-mer counts sorted level by level: the
-    edges and counts and, above the deepest level, child counts."""
+    """Per level, from the text's windows counted in a dict: the sorted
+    nodes' edges and child counts, the children of a deepest node being
+    the windows that spell it."""
     depth = min(lam - 1, len(s))
-    kmers = {}
-    for k in range(1, depth + 1):
-        for i in range(len(s) - k + 1):
-            kmer = tuple(s[i : i + k])
-            kmers[kmer] = kmers.get(kmer, 0) + 1
-    children = {kmer: 0 for kmer in kmers}
-    for kmer in kmers:
-        if len(kmer) > 1:
-            children[kmer[:-1]] += 1
+    padded = s + [0] * depth
+    windows = [tuple(padded[i : i + depth]) for i in range(len(s))]
     levels = []
     for k in range(1, depth + 1):
-        nodes = sorted(kmer for kmer in kmers if len(kmer) == k)
-        levels.append([[kmer[-1] for kmer in nodes], [kmers[kmer] for kmer in nodes]])
-        if k < depth:
-            levels[-1].append([children[kmer] for kmer in nodes])
+        if k == depth:
+            below = Counter(windows)
+        else:
+            below = Counter(w[:k] for w in {w[: k + 1] for w in windows})
+        nodes = sorted(below)
+        levels.append([[node[-1] for node in nodes], [below[node] for node in nodes]])
     return levels
 
 
@@ -183,26 +191,26 @@ def test_rejects_code_zero():
         ShortPatternTrie.build(np.array([1, 0, 2]), 3)
 
 
-# Node count, sha256 of the format-3 trie section (one column set per
-# level), and sha256 of the built child-count, edge and count columns as
-# int64, each joined across the levels, the child counts of nodes 0..n-1
-# with the root's first; the column digests were recorded before the file
-# stored the trie level by level, so they pin the build across that change.
+# Node count, sha256 of the format-4 trie section (two columns per level),
+# and sha256 of the built child-count and edge columns as int64, each joined
+# across the levels, the child counts of nodes 0..n with the root's first
+# and the deepest nodes' windows last.  The built columns were checked
+# against ``_brute_force_levels`` when these were recorded.
 PINNED_TRIE_SECTIONS = {
     4: (
-        84,
-        "822dc8890b545e29f744a37706af18f17235e67dca3ed406f2e9f86f2361c836",
-        "45893fdc3c15695b0ed311e67c9f2db0f87d8cbb404abb4b000c6b37b649efc1",
+        87,
+        "606c058ddf9f42223e02b81e019cfd8e2c36246d96fe70b3f1fc6d1e89e72c1f",
+        "f91b1a91090096d25ee07a019b684d751d49de4deb4217c069073fd28b6b557b",
     ),
     8: (
-        12974,
-        "7bf65cdbd68f48656021115b353f72e02e06baa625b1bc21f13652a3c6a71c8b",
-        "eeed1a68e209102c858d3be4ad77a347354db096de74dd9d4494ac4053202c22",
+        12995,
+        "7697f9ae6808aefeae4db04b4949c69439dfb2b9c5b30d79abccddb53b301b1b",
+        "f51defca867f696ca03bd2f35f2a849358df30b1ffadb34ad7ce111494e43383",
     ),
     16: (
-        129315,
-        "dd71d5a84fcd03061732deb38c448556c9cc75fc29c040421267c9e2ac90f038",
-        "7724ad329d7ac0c02c4b3523db4d528fc99f7a220ee6449e2b0e505601a97dcf",
+        129420,
+        "f49c5022bc92a9fc4576accabb4bc10b634d7f7cc5e241de83882daacbd7c88a",
+        "4dbddb0a715e5d33acfadaa95bacb1c7c3c77fbb1c25957ebb4d696c554e014c",
     ),
 }
 
@@ -223,6 +231,6 @@ def test_trie_section_pinned_on_generated_corpus(artificial_text, lam):
     assert hashlib.sha256(section).hexdigest() == section_digest
     for trie in (index.trie, load_index(blob).trie):
         columns = hashlib.sha256()
-        for column in (np.diff(trie.kids)[:-1], trie.edges, trie.counts):
+        for column in (np.diff(trie.kids), trie.edges):
             columns.update(np.asarray(column).astype("<i8").tobytes())
         assert columns.hexdigest() == columns_digest
