@@ -7,8 +7,6 @@ import re
 import sys
 import time
 
-import numpy as np
-
 from gfi import index as index_mod
 from gfi import oracle
 from gfi.errors import InvalidParameterError
@@ -81,9 +79,16 @@ def _exponent_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+# Each length draws its pattern offsets before its timed loop, so their
+# number is bounded: 10^11 offsets would not fit in memory.
+MAX_BENCH_SAMPLES = 10**6
+
+
 def _cmd_bench(args) -> int:
-    if args.samples < 1:
-        raise InvalidParameterError("--samples must be at least 1")
+    if not 1 <= args.samples <= MAX_BENCH_SAMPLES:
+        raise InvalidParameterError(
+            "--samples must be between 1 and %d, not %d" % (MAX_BENCH_SAMPLES, args.samples)
+        )
     lo, hi = _exponent_range(args.lengths)
     idx = index_mod.load_index_file(args.index)
     with open(args.text, "rb") as fh:
@@ -96,16 +101,15 @@ def _cmd_bench(args) -> int:
             print("length 2^%d exceeds the text" % exp, file=sys.stderr)
             return 1
         length = 1 << exp
-        patterns = oracle.extract_patterns(
-            np.frombuffer(raw, dtype="u1"), length, args.samples, args.seed + exp
-        )
+        # the draws as offsets: one pattern at a time is copied out of the text
+        offsets = oracle.pattern_offsets(len(raw), length, args.samples, args.seed + exp)
         idx.rlfm1.stats.reset()
         start = time.perf_counter()
-        for codes in patterns:
-            query_count(idx, codes.tobytes())
+        for i in offsets:
+            query_count(idx, raw[i : i + length])
         elapsed = time.perf_counter() - start
         calls = idx.rlfm1.stats.rank_calls
-        chars = length * len(patterns)
+        chars = length * args.samples
         print("%d,%.9f,%d,%.6f" % (length, elapsed / chars, calls, calls / chars))
     return 0
 
@@ -159,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-x", "--index", required=True)
     p.add_argument("--text", required=True)
     p.add_argument("--lengths", required=True, help="exponent range, e.g. 8..15")
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--samples", type=int, default=64,
+                   help="patterns per length, 1..%d (default 64)" % MAX_BENCH_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_bench)
 

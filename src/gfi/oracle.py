@@ -88,15 +88,16 @@ def gen_artificial(mutation_percent: float, seed: int) -> bytes:
     return b"".join(parts)
 
 
-def extract_patterns(text, length: int, samples: int, seed: int) -> list:
-    """Substrings of the text drawn uniformly at random; all of them occur."""
-    t = np.asarray(text)
-    n = len(t)
+def pattern_offsets(n: int, length: int, samples: int, seed: int) -> list[int]:
+    """Start offsets of ``samples`` substrings of a length-n text, drawn
+    uniformly at random; ``extract_patterns`` copies out the same draws."""
     if length > n:
         raise ValueError("pattern length exceeds the text length")
     rng = random.Random(seed)
-    out = []
-    for _ in range(samples):
-        i = rng.randint(0, n - length)
-        out.append(t[i : i + length].copy())
-    return out
+    return [rng.randint(0, n - length) for _ in range(samples)]
+
+
+def extract_patterns(text, length: int, samples: int, seed: int) -> list:
+    """Substrings of the text drawn uniformly at random; all of them occur."""
+    t = np.asarray(text)
+    return [t[i : i + length].copy() for i in pattern_offsets(len(t), length, samples, seed)]

@@ -19,10 +19,16 @@ text the run found for the upper end usually starts by the lower end, so
 most steps take one binary search; the counter still charges two rank
 calls per step.  ``backward_step`` walks a whole symbol sequence in one
 call, with the arrays in locals and the counter charged once at the end,
-so a search pays one method call per walk, not one per symbol.
-Queries read the arrays through memoryviews, so they index to plain ints
-and call ``bisect`` without any numpy dispatch.  The same structure
-serves the raw-text baseline index and the rewritten-text index.
+so a search pays one method call per walk, not one per symbol.  Once the
+range is one row p, the walk finishes in a leaner loop whose step is p's
+LF mapping: one bisect finds c's last run starting by p, and p moves to
+that run's place in the grouped order; the range empties, to the pair the
+general step gives, when no run of c starts by p or p lies past that run.
+On repetitive text most steps of a long pattern are one-row steps.
+Queries read the run arrays through memoryviews and the σ + 1 group
+bounds from a Python list, so they index to plain ints and call
+``bisect`` without any numpy dispatch.  The same structure serves the
+raw-text baseline index and the rewritten-text index.
 
 A range of BWT rows is a 1-based inclusive ``(lo, hi)`` pair of ints,
 empty when ``lo > hi``.  Every rank, counted or inlined, bumps a
@@ -103,7 +109,7 @@ class RLFMIndex:
         self.heads = memoryview(self.run_heads)
         self.run_starts = memoryview(starts)
         self.cstarts = memoryview(starts[order])
-        self.first = memoryview(first)
+        self.first = first.tolist()
         self.mass = memoryview(mass)
         self.C = memoryview(mass[first])
         self.stats = RankStats()
@@ -156,7 +162,14 @@ class RLFMIndex:
         over c's run starts finds c's last run starting by hi.  When that run
         also starts by lo, the same run gives rank(c, lo - 1), as every
         earlier run of c ends before it starts; only otherwise does a second
-        bisect search the earlier runs.
+        bisect search the earlier runs.  A step that leaves one row p hands
+        the rest of the symbols to a second loop over the same iterator,
+        whose step is p's LF mapping, ``mass[j] + p - cstarts[j] + 1`` for
+        c's last run j starting by p.  It needs one bisect and no second
+        end, and charges the same two rank calls.  It empties the range as
+        the general step does: to ``(C[c] + 1, C[c])`` when no run of c
+        starts by p, and to ``(end + 1, end)`` at run j's end when p lies
+        past run j, in another symbol's run.
         """
         if lo > hi:
             return 1, 0
@@ -165,7 +178,8 @@ class RLFMIndex:
         cstarts, mass, first = self.cstarts, self.mass, self.first
         sigma = self.alphabet_size
         steps = 0
-        for c in reversed(symbols):
+        rest = reversed(symbols)  # the one-row loop below takes what this one leaves
+        for c in rest:
             if c < 0 or c >= sigma:
                 lo, hi = 1, 0
                 break
@@ -185,13 +199,36 @@ class RLFMIndex:
                 j = bisect_right(cstarts, lo - 1, a, j) - 1
                 if j < a:  # rank(c, lo - 1) is 0, and hi lies past C[c]
                     lo = mass[a] + 1
+                    if lo == hi:
+                        break
                     continue
                 start, end = cstarts[j], mass[j + 1]
             lo = mass[j] + lo - start + 1  # rank(c, lo - 1) + 1
             if lo > end:
                 lo = end + 1
-            if lo > hi:
+            if lo >= hi:
                 break
+        if lo == hi:
+            # One row p: the step is its LF, C[c] + rank(c, p), when row p
+            # holds c, and the range empties as above otherwise.
+            p = lo
+            for c in rest:
+                if c < 0 or c >= sigma:
+                    lo, hi = 1, 0
+                    break
+                steps += 1
+                a = first[c]
+                j = bisect_right(cstarts, p, a, first[c + 1]) - 1
+                if j < a:  # no run of c starts by p
+                    lo, hi = mass[a] + 1, mass[a]
+                    break
+                p += mass[j] - cstarts[j] + 1
+                if p > mass[j + 1]:  # the row lay past run j, in another symbol's run
+                    hi = mass[j + 1]
+                    lo = hi + 1
+                    break
+            else:
+                lo = hi = p
         stats = self.stats
         stats.step_calls += steps
         stats.rank_calls += 2 * steps

@@ -1,6 +1,12 @@
+import os
+import resource
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import gfi
 from conftest import corrupt_trie_rows, relabelled_trie_index
 from gfi.cli import main
 from gfi.grammar import Grammar
@@ -171,6 +177,28 @@ def test_bench_rejects_samples_below_one(tmp_path, capsys, monkeypatch, samples)
                            "--lengths", "2..3", "--samples", samples)
     assert status == 2 and out == ""
     assert err.startswith("error:") and "--samples" in err
+
+
+def test_bench_refuses_samples_past_the_bound_under_a_memory_cap(tmp_path):
+    """10^11 samples would take any machine's memory: under a 2 GB address
+    space cap the refusal still comes at once, before a pattern is drawn."""
+    corpus = tmp_path / "c.txt"
+    corpus.write_bytes(b"bacabacaacbcbc")
+    idx_file = tmp_path / "c.gfi"
+    save_index_file(build_index(b"bacabacaacbcbc", 3), str(idx_file))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "gfi.cli", "bench", "-x", str(idx_file), "--text", str(corpus),
+         "--lengths", "2..3", "--samples", "100000000000"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gfi.__file__))},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "--samples" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import numpy as np
 
 from conftest import to_codes
 from gfi.bwt import bwt_of
+from gfi.oracle import naive_count
 from gfi.rlfm import RLFMIndex
 
 LEVEL1_BWT = [5, 3, 3, 2, 4, 0, 5, 1]  # ECCBD$EA
@@ -409,3 +410,64 @@ def test_walk_equals_fold_of_single_steps():
             assert fm.stats.step_calls - steps == charged
             seen["hi_past_end"] += hi > n and charged > 0
     assert min(seen.values()) >= 100, seen
+
+
+def repetitive_texts(rng):
+    """Copies of a random string over 1..sigma, each code mutated with
+    probability 1/100, for sigma in {2, 4, 30}."""
+    for sigma in (2, 4, 30):
+        for _ in range(2):
+            base = [rng.randint(1, sigma) for _ in range(rng.randint(150, 300))]
+            s = []
+            for _ in range(rng.randint(6, 10)):
+                s += [rng.randint(1, sigma) if rng.random() < 0.01 else c for c in base]
+            yield sigma, s
+
+
+def test_one_row_walks_equal_fold_of_single_steps():
+    """Long walks on repetitive text reach one row and stay there; each
+    such walk returns, and charges, what one-symbol backward_step calls
+    return and charge, and a walk from the full range counts what a scan
+    of the text counts.  The walks die on one row in each way it can: no
+    run of the symbol starts by the row, the row lies in another symbol's
+    run, or the symbol is outside the alphabet."""
+    rng = random.Random(29)
+    long_one_row = 0
+    deaths = dict.fromkeys(("no_run", "other_run", "bad_symbol"), 0)
+    for sigma, s in repetitive_texts(rng):
+        bwt = bwt_of(np.array(s)).tolist()
+        fm = RLFMIndex.from_bwt(bwt)
+        n = fm.total_length
+        late = max(range(1, sigma + 1), key=bwt.index)  # the code whose first run starts last
+        for walk in range(150):
+            i = rng.randint(0, len(s) - 50)
+            symbols = s[i : i + rng.randint(50, 400)]
+            if rng.random() < 0.5:  # a symbol that may end the walk, mostly late in it
+                symbols[rng.randrange(len(symbols) // 4)] = rng.choice(
+                    [rng.randint(1, sigma)] * 3 + [late, -1, sigma + 1])
+            if walk % 2:
+                lo = rng.randint(1, n)
+                hi = rng.randint(lo, n)
+            else:
+                lo, hi = 1, n
+            a, b, charged, one_row = lo, hi, 0, 0
+            for c in reversed(symbols):
+                row = a if a == b and charged else None  # the walk's one-row loop
+                steps = fm.stats.step_calls
+                a, b = fm.backward_step(a, b, (c,))
+                charged += fm.stats.step_calls - steps
+                one_row += row is not None
+                if a > b:
+                    if row is not None:
+                        deaths["bad_symbol" if not 0 <= c < fm.alphabet_size else
+                               "no_run" if c not in bwt[:row] else "other_run"] += 1
+                    break
+            long_one_row += one_row >= 20
+            calls, steps = fm.stats.rank_calls, fm.stats.step_calls
+            assert fm.backward_step(lo, hi, symbols) == (a, b), (sigma, lo, hi, symbols)
+            assert fm.stats.rank_calls - calls == 2 * charged
+            assert fm.stats.step_calls - steps == charged
+            if lo == 1 and hi == n and all(0 < c <= sigma for c in symbols):
+                assert fm.count_plain(symbols) == naive_count(s, symbols)
+    assert long_one_row >= 100, long_one_row
+    assert min(deaths.values()) >= 10, deaths
