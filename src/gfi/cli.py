@@ -82,6 +82,8 @@ def _exponent_range(text: str) -> tuple[int, int]:
 # Each length draws its pattern offsets before its timed loop, so their
 # number is bounded: 10^11 offsets would not fit in memory.
 MAX_BENCH_SAMPLES = 10**6
+# The longest text whose BWT, one row longer, fits the file format's 2^32-row columns.
+MAX_GEN_LENGTH = 2**32 - 2
 
 
 def _cmd_bench(args) -> int:
@@ -120,9 +122,11 @@ def _cmd_gen(args) -> int:
     else:
         if args.sigma > 255:
             raise InvalidParameterError("--sigma must be at most 255: codes are written as bytes")
-        codes = oracle.gen_random_text(args.sigma, args.length, args.seed)
-        offset = 96 if args.sigma <= 26 else 0  # a.. letters when they fit
-        data = bytes(offset + c for c in codes.tolist())
+        if args.length > MAX_GEN_LENGTH:
+            raise InvalidParameterError("--length must be at most %d" % MAX_GEN_LENGTH)
+        data = oracle.gen_random_text(args.sigma, args.length, args.seed)
+        if args.sigma <= 26:  # a.. letters when they fit: code c becomes byte 96 + c
+            data = data.translate(bytes(range(96, 256)) + bytes(range(96)))
     with open(args.output, "wb") as fh:
         fh.write(data)
     print("%s,%d" % (args.output, len(data)))
@@ -172,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["artificial", "random"])
     p.add_argument("--mutation", type=float, default=1.0)
     p.add_argument("--sigma", type=int, default=4)
-    p.add_argument("--length", type=int, default=1 << 20)
+    p.add_argument("--length", type=int, default=1 << 20, help="at most %d" % MAX_GEN_LENGTH)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_gen)

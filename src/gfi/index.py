@@ -39,7 +39,7 @@ from gfi import grammar as grammar_mod
 from gfi import query
 from gfi.alphabet import DenseAlphabet, densify
 from gfi.errors import CorruptIndexError, InvalidParameterError
-from gfi.rlfm import COLUMN_DTYPES, RLFMIndex, narrowest
+from gfi.rlfm import COLUMN_DTYPES, RLFMIndex, exact_sum, narrowest
 from gfi.shorttrie import ShortPatternTrie
 
 MAGIC = b"GFI1"
@@ -171,9 +171,8 @@ def _read_runs(buf: io.BytesIO, top: int, what: str, symbols: str) -> tuple[np.n
         raise ValueError("%s BWT symbols do not match the %d %s" % (what, top, symbols))
     if lengths.min() == 0:
         raise ValueError("%s BWT has a run of length 0" % what)
-    # Fewer than 2**32 rows of at most 4 bytes cannot sum past int64, so only
-    # width-8 lengths are summed exactly; their int64 sum could wrap.
-    if lengths.itemsize == 8 and sum(lengths.tolist()) >> 63:
+    # Fewer than 2**32 rows of at most 2 bytes sum below 2**48; wider ones could wrap.
+    if lengths.itemsize > 2 and exact_sum(lengths) >> 63:
         raise ValueError("%s BWT run lengths sum past int64" % what)
     if np.any(heads[1:] == heads[:-1]):
         raise ValueError("%s BWT has two adjacent runs of one symbol" % what)

@@ -1,8 +1,9 @@
 """Ground-truth counting and reproducible dataset generators.
 
-The generators use ``random.Random`` (Mersenne Twister), which produces
-identical sequences for a given seed on every platform, so generated
-corpora and benchmark CSVs are reproducible.
+Generated texts are bytes, and sampled patterns are start offsets into
+them.  Both are drawn with ``random.Random`` (Mersenne Twister), whose
+sequence for a seed is the same on every platform, so generated corpora
+and benchmark CSVs are reproducible.
 """
 
 from __future__ import annotations
@@ -44,21 +45,21 @@ def naive_count(text, pattern) -> int:
     return int(hits.sum())
 
 
-def gen_random_text(sigma: int, n: int, seed: int) -> np.ndarray:
-    """Random codes 1..sigma of length n in which every code occurs.
+def gen_random_text(sigma: int, n: int, seed: int) -> bytes:
+    """Random code bytes 1..sigma of length n in which every code occurs.
 
     Each code 1..sigma is put once at its own position, the positions
     drawn uniformly without replacement; every other position holds a
     code drawn uniformly from 1..sigma, independently.  The time is
-    linear in n for any 1 <= sigma <= n; other values are rejected.
+    linear in n for any 1 <= sigma <= min(n, 255); other values are rejected.
     """
-    if not 1 <= sigma <= n:
-        raise InvalidParameterError("a random text needs 1 <= sigma <= length")
+    if not 1 <= sigma <= min(n, 255):
+        raise InvalidParameterError("a random text needs 1 <= sigma <= length and sigma <= 255")
     rng = random.Random(seed)
-    codes = [rng.randint(1, sigma) for _ in range(n)]
+    codes = bytearray(rng.randint(1, sigma) for _ in range(n))
     for code, pos in enumerate(rng.sample(range(n), sigma), start=1):
         codes[pos] = code
-    return np.array(codes, dtype=np.int64)
+    return bytes(codes)
 
 
 def gen_artificial(mutation_percent: float, seed: int) -> bytes:
@@ -90,14 +91,8 @@ def gen_artificial(mutation_percent: float, seed: int) -> bytes:
 
 def pattern_offsets(n: int, length: int, samples: int, seed: int) -> list[int]:
     """Start offsets of ``samples`` substrings of a length-n text, drawn
-    uniformly at random; ``extract_patterns`` copies out the same draws."""
+    uniformly at random."""
     if length > n:
         raise ValueError("pattern length exceeds the text length")
     rng = random.Random(seed)
     return [rng.randint(0, n - length) for _ in range(samples)]
-
-
-def extract_patterns(text, length: int, samples: int, seed: int) -> list:
-    """Substrings of the text drawn uniformly at random; all of them occur."""
-    t = np.asarray(text)
-    return [t[i : i + length].copy() for i in pattern_offsets(len(t), length, samples, seed)]

@@ -67,6 +67,14 @@ def narrowest(values: np.ndarray) -> np.ndarray:
     return values.astype(COLUMN_DTYPES[width], copy=False)
 
 
+def exact_sum(column: np.ndarray) -> int:
+    """Exact sum of fewer than 2^32 nonnegative values, each 32-bit half summed in uint64."""
+    if column.itemsize <= 4:
+        return int(column.sum(dtype=np.uint64))
+    high, low = np.divmod(column, 2**32)
+    return (int(high.sum(dtype=np.uint64)) << 32) + int(low.sum(dtype=np.uint64))
+
+
 @dataclass
 class RankStats:
     rank_calls: int = 0

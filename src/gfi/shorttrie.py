@@ -27,7 +27,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from gfi.rlfm import narrowest
+from gfi.rlfm import exact_sum, narrowest
 
 
 class ShortPatternTrie:
@@ -52,7 +52,7 @@ class ShortPatternTrie:
                     message = "trie level %d's child counts must lie in 1..%d and sum to %d"
                     raise ValueError(message % (d, rows[d], rows[d]))
             # Window counts of at most 2 bytes sum below 2**48; wider ones are summed exactly.
-            elif below.min() < 1 or below.itemsize > 2 and n + sum(below.tolist()) >> 63:
+            elif below.min() < 1 or below.itemsize > 2 and n + exact_sum(below) >> 63:
                 raise ValueError("trie level %d's windows must be 1 or more, summing in int64" % d)
         # Node p's children are the ids kids[p]+1 .. kids[p+1], with edges
         # edges[kids[p]:kids[p+1]]: kids sums the child counts of the root,

@@ -14,8 +14,8 @@ Rank over L is ``RLFMIndex.rank`` on L's runs.
 Reading a node's labels upward spells the rule unreversed, so the
 terminator rows appear in lexicographic rule order and backward search for
 a query string lands on the lex-id interval of rules having the query as a
-prefix.  This structure is a verified alternative to the binary-search
-dictionary in ``gfi.grammar``; the default query path does not use it.
+prefix.  No query path reads it: ``gfi.grammar`` answers the same query
+by binary search over the sorted rules, and the tests check that both agree.
 """
 
 from __future__ import annotations
@@ -42,54 +42,22 @@ class XbwtTrie:
         self._groups_by = np.concatenate([[0], np.cumsum(self.last)])
         self._group_end = np.concatenate([[0], np.flatnonzero(self.last) + 1])
 
-    def _child_group(self, c: int, f: int) -> int:
-        """Group of the node the f-th c-edge leads to: the f-th group of the c section."""
-        return int(self._groups_by[self.C[c]]) + f
-
-    def _step(self, lo: int, hi: int, c: int) -> tuple[int, int]:
-        """One backward step: rows of the nodes reached by c-edges in [lo..hi]."""
-        if not TERM < c < len(self.C) - 1:
-            return (1, 0)
-        f1 = self.rank_l(c, lo - 1)
-        f2 = self.rank_l(c, hi)
-        if f1 >= f2:
-            return (1, 0)
-        # rows from the start of the first reached group to the end of the last
-        return (
-            int(self._group_end[self._child_group(c, f1)]) + 1,
-            int(self._group_end[self._child_group(c, f2)]),
-        )
-
     def prefix_range(self, q: bytes) -> tuple[int, int]:
         """Lex-id interval of rules whose rhs has q as a prefix (lo > hi if none)."""
         lo, hi = 1, len(self.L)
         for c in reversed(q):
-            lo, hi = self._step(lo, hi, c)
-            if lo > hi:
+            if not TERM < c < len(self.C) - 1:
                 return (1, 0)
+            f1, f2 = self.rank_l(c, lo - 1), self.rank_l(c, hi)
+            if f1 >= f2:
+                return (1, 0)
+            # step to the nodes the c-edges in [lo..hi] reach: the f-th c-edge
+            # leads to the f-th group of the c section, so the rows run from
+            # the start of the first reached group to the end of the last
+            g = int(self._groups_by[self.C[c]])
+            lo, hi = int(self._group_end[g + f1]) + 1, int(self._group_end[g + f2])
         # descend to the leaf edges: their terminator ranks are the lex ids
         return (self.rank_l(TERM, lo - 1) + 1, self.rank_l(TERM, hi))
-
-    def leaf_order(self) -> np.ndarray:
-        """Lex ids of the rules in trie traversal order, i.e. colex order.
-
-        Children of a node sit in label order within its row group, so a
-        depth-first walk emits the leaf edges by reversed-rhs rank; each
-        leaf edge's terminator rank is the rule's lex id.
-        """
-        out: list[int] = []
-        stack: list[int] = [1] if len(self.L) else []  # group indices, root group is 1
-        while stack:
-            group = stack.pop()
-            pending: list[int] = []
-            for row in range(int(self._group_end[group - 1]) + 1, int(self._group_end[group]) + 1):
-                c = int(self.L[row - 1])
-                if c == TERM:
-                    out.append(self.rank_l(TERM, row))
-                else:
-                    pending.append(self._child_group(c, self.rank_l(c, row)))
-            stack.extend(reversed(pending))
-        return np.array(out, dtype=np.int64)
 
 
 def build_xbwt(grammar: Grammar) -> XbwtTrie:

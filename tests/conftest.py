@@ -1,3 +1,4 @@
+import random
 import struct
 import zlib
 
@@ -41,6 +42,20 @@ def rlfm_inits(monkeypatch):
 
 # Chunk sizes past the 1..8 of the acceptance suite, up to the format's 255.
 LARGE_LAMBDAS = (9, 16, 31, 64, 255)
+
+
+def full_byte_text():
+    """All 255 codes once, shuffled so that no factor grows long, then 200 random ones."""
+    rng = random.Random(255)
+    return bytes(rng.sample(range(1, 256), 255)) + bytes(rng.randint(1, 255) for _ in range(200))
+
+
+# Code strings at the edges of the dictionary's shapes, checked at large chunk sizes.
+EDGE_TEXTS = {
+    "unary": bytes([1]) * 300,  # one factor, chunked into rules of lam codes
+    "full-byte": full_byte_text(),
+    "empty": b"",  # one rule, the empty string
+}
 
 
 def to_codes(s: bytes) -> bytes:

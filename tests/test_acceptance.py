@@ -15,7 +15,7 @@ from gfi import grammar as gm
 from gfi import lms
 from gfi.bwt import bwt_of
 from gfi.index import build_index, load_index, save_index
-from gfi.oracle import extract_patterns, naive_count
+from gfi.oracle import naive_count, pattern_offsets
 from gfi.query import QueryTrace, count
 from gfi.rlfm import RLFMIndex
 from gfi.xbwt import build_xbwt
@@ -159,30 +159,29 @@ def test_criterion_08_compression_trend(artificial_text):
 
 def test_criterion_09_step_counts(artificial_text, artificial_index):
     idx = artificial_index
-    patterns = extract_patterns(
-        np.frombuffer(artificial_text, dtype="u1"), 2**12, 100, 2025
-    )
+    m = 2**12
+    offsets = pattern_offsets(len(artificial_text), m, 100, 2025)
+    patterns = [artificial_text[i : i + m] for i in offsets]
     total_ranks = 0
-    for pat in patterns:
-        pb = pat.tobytes()
-        codes = idx.alphabet.encode(pb)
+    for pattern in patterns:
+        codes = idx.alphabet.encode(pattern)
         factors = lms.factorize(codes, lms.classify(codes))
         expected = sum(-(-len(f) // idx.grammar.lam) for f in factors[1:-1])
         trace = QueryTrace()
         idx.rlfm1.stats.reset()
-        assert count(idx, pb, trace) >= 1
+        assert count(idx, pattern, trace) >= 1
         total_ranks += idx.rlfm1.stats.rank_calls
         completed = [s for s, done in trace.core_traversals if done]
         assert completed, "no branch completed the core"
         assert all(s == expected for s in completed)
-    chars = 100 * 2**12
+    chars = 100 * m
     per_char = total_ranks / chars
     assert per_char <= 0.9, per_char
 
     idx.rlfm0.stats.reset()
-    for pat in patterns[:10]:
-        idx.count_baseline(pat.tobytes())
-    baseline_per_char = idx.rlfm0.stats.rank_calls / (10 * 2**12)
+    for pattern in patterns[:10]:
+        idx.count_baseline(pattern)
+    baseline_per_char = idx.rlfm0.stats.rank_calls / (10 * m)
     assert baseline_per_char == 2.0
     print(
         "criterion 9 PASS: core steps exact on 100 patterns, %.3f rank calls/char"

@@ -179,6 +179,20 @@ def test_bench_rejects_samples_below_one(tmp_path, capsys, monkeypatch, samples)
     assert err.startswith("error:") and "--samples" in err
 
 
+def run_under_memory_cap(*args):
+    """``python -m gfi.cli`` with ``args`` in a child process, under a 2 GB
+    address space cap and a 60 s timeout."""
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+    return subprocess.run(
+        [sys.executable, "-m", "gfi.cli", *args],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gfi.__file__))},
+    )
+
+
 def test_bench_refuses_samples_past_the_bound_under_a_memory_cap(tmp_path):
     """10^11 samples would take any machine's memory: under a 2 GB address
     space cap the refusal still comes at once, before a pattern is drawn."""
@@ -186,16 +200,8 @@ def test_bench_refuses_samples_past_the_bound_under_a_memory_cap(tmp_path):
     corpus.write_bytes(b"bacabacaacbcbc")
     idx_file = tmp_path / "c.gfi"
     save_index_file(build_index(b"bacabacaacbcbc", 3), str(idx_file))
-
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "gfi.cli", "bench", "-x", str(idx_file), "--text", str(corpus),
-         "--lengths", "2..3", "--samples", "100000000000"],
-        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
-        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gfi.__file__))},
-    )
+    proc = run_under_memory_cap("bench", "-x", str(idx_file), "--text", str(corpus),
+                                "--lengths", "2..3", "--samples", "100000000000")
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "--samples" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -329,6 +335,18 @@ def test_gen_random_rejects_sigma_above_255(tmp_path, capsys, monkeypatch):
     )
     assert status == 2 and out == ""
     assert err.startswith("error:") and "255" in err
+    assert not out_file.exists()
+
+
+def test_gen_random_refuses_length_past_the_bound_under_a_memory_cap(tmp_path):
+    """A text of 10^11 codes would take any machine's memory: under a 2 GB
+    address space cap the refusal names --length and comes before a code
+    is drawn, with no file written."""
+    out_file = tmp_path / "r.txt"
+    proc = run_under_memory_cap("gen", "random", "--length", "100000000000", "-o", str(out_file))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "--length" in proc.stderr
+    assert "Traceback" not in proc.stderr
     assert not out_file.exists()
 
 

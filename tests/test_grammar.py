@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import to_codes
+from conftest import EDGE_TEXTS, to_codes
 from gfi import grammar as gm
 from gfi.errors import InvalidParameterError
 from gfi.index import build_index
@@ -118,6 +118,11 @@ def test_colex_identity_for_unit_chunks():
     assert g.colex_rank.tolist() == [0, 1, 2, 3]
 
 
+def assert_colex_is_reversal_sort(g):
+    by_reversal = sorted(range(len(g.rhs)), key=lambda i: g.rhs[i][::-1])
+    assert g.colex_to_lex.tolist() == [i + 1 for i in by_reversal]
+
+
 def test_colex_matches_reversal_sort():
     rng = random.Random(9)
     for _ in range(100):
@@ -126,8 +131,14 @@ def test_colex_matches_reversal_sort():
         text = bytes(rng.randint(1, sigma) for _ in range(n))
         lam = rng.randint(1, 4)
         g, _ = gm.build(text, lam)
-        by_reversal = sorted(range(len(g.rhs)), key=lambda i: g.rhs[i][::-1])
-        assert g.colex_to_lex.tolist() == [i + 1 for i in by_reversal]
+        assert_colex_is_reversal_sort(g)
+
+
+@pytest.mark.parametrize("lam", [9, 64, 255])
+@pytest.mark.parametrize("name", EDGE_TEXTS)
+def test_colex_matches_reversal_sort_at_edge_shapes(name, lam):
+    g, _ = gm.build(EDGE_TEXTS[name], lam)
+    assert_colex_is_reversal_sort(g)
 
 
 def _dictionaries(rng):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import corrupt_trie_rows, relabelled_trie_index, reseal
+from gfi import index as index_mod
 from gfi.alphabet import DenseAlphabet
 from gfi.errors import CorruptIndexError, InvalidParameterError
 from gfi.grammar import Grammar
@@ -662,6 +663,18 @@ def test_rejects_baseline_run_lengths_whose_sum_wraps(fuzz_blob):
     ])
     with pytest.raises(CorruptIndexError, match="baseline BWT run lengths sum past int64"):
         load_index(reseal(b"".join(sections.values())))
+
+
+def test_rejects_width_4_run_lengths_whose_sum_passes_int64(monkeypatch):
+    """2**31 + 1 run lengths of 2**32 - 1, each fitting 4 bytes, sum past
+    2**63, so their int64 sum wraps negative.  A file holding them would
+    take about 10.7 GB, so ``_read_runs`` is handed them as one zero-stride
+    column; two heads suffice, as the sum is checked first."""
+    lengths = np.broadcast_to(np.uint32(2**32 - 1), (2**31 + 1,))
+    heads = np.array([1, 0], dtype=np.uint8)
+    monkeypatch.setattr(index_mod, "_read_columns", lambda buf, count: [heads, lengths])
+    with pytest.raises(ValueError, match="level-1 BWT run lengths sum past int64"):
+        index_mod._read_runs(None, 1, "level-1", "rules")
 
 
 def test_baseline_rlfm_is_built_on_first_baseline_query(fuzz_blob, rlfm_inits):

@@ -9,10 +9,10 @@ from gfi.errors import InvalidParameterError, InvalidPatternError
 from gfi.oracle import (
     ARTIFICIAL_BASE_LENGTH,
     ARTIFICIAL_COPIES,
-    extract_patterns,
     gen_artificial,
     gen_random_text,
     naive_count,
+    pattern_offsets,
 )
 
 
@@ -60,10 +60,10 @@ def test_naive_count_agrees_with_suffix_array_filter():
 
 
 def test_gen_random_unary():
-    assert gen_random_text(1, 5, 123).tolist() == [1, 1, 1, 1, 1]
+    assert gen_random_text(1, 5, 123) == bytes([1, 1, 1, 1, 1])
 
 
-@pytest.mark.parametrize("sigma, n", [(5, 3), (2, 1), (0, 4), (-1, 4)])
+@pytest.mark.parametrize("sigma, n", [(5, 3), (2, 1), (0, 4), (-1, 4), (256, 300)])
 def test_gen_random_rejects_impossible_coverage(sigma, n):
     with pytest.raises(InvalidParameterError):
         gen_random_text(sigma, n, 0)
@@ -77,8 +77,8 @@ def test_gen_random_full_coverage_is_prompt(sigma, n):
     codes = gen_random_text(sigma, n, 0)
     assert time.perf_counter() - start < 2.0
     assert len(codes) == n
-    assert sorted(set(codes.tolist())) == list(range(1, sigma + 1))
-    assert np.array_equal(codes, gen_random_text(sigma, n, 0))
+    assert sorted(set(codes)) == list(range(1, sigma + 1))
+    assert codes == gen_random_text(sigma, n, 0)
     with pytest.raises(InvalidParameterError):
         gen_random_text(sigma, sigma - 1, 0)
 
@@ -86,9 +86,9 @@ def test_gen_random_full_coverage_is_prompt(sigma, n):
 def test_gen_random_deterministic_and_covering():
     a = gen_random_text(4, 2000, 7)
     b = gen_random_text(4, 2000, 7)
-    assert np.array_equal(a, b)
-    assert sorted(np.unique(a).tolist()) == [1, 2, 3, 4]
-    assert not np.array_equal(a, gen_random_text(4, 2000, 8))
+    assert a == b
+    assert sorted(set(a)) == [1, 2, 3, 4]
+    assert a != gen_random_text(4, 2000, 8)
 
 
 def test_gen_artificial_no_mutation_is_pure_copies():
@@ -124,17 +124,15 @@ def test_gen_artificial_full_mutation_boundary():
     assert set(base) <= set(b"ACGT")
 
 
-def test_extract_patterns_all_occur():
-    rng = np.frombuffer(gen_artificial(2.0, 9)[:5000], dtype="u1")
-    pats = extract_patterns(rng, 32, 20, 1)
-    raw = rng.tobytes()
-    assert all(p.tobytes() in raw for p in pats)
-    again = extract_patterns(rng, 32, 20, 1)
-    assert all(np.array_equal(a, b) for a, b in zip(pats, again))
+def test_pattern_offsets_all_occur():
+    text = gen_artificial(2.0, 9)[:5000]
+    offsets = pattern_offsets(len(text), 32, 20, 1)
+    assert len(offsets) == 20 and all(0 <= i <= len(text) - 32 for i in offsets)
+    assert offsets == pattern_offsets(len(text), 32, 20, 1)
 
 
-def test_extract_patterns_rejects_length_beyond_the_text():
-    text = np.frombuffer(b"bacabacaacbcbc", dtype="u1")
-    assert len(extract_patterns(text, 14, 3, 1)) == 3
+def test_pattern_offsets_rejects_length_beyond_the_text():
+    n = len(b"bacabacaacbcbc")
+    assert pattern_offsets(n, 14, 3, 1) == [0, 0, 0]
     with pytest.raises(ValueError, match="exceeds the text length"):
-        extract_patterns(text, 15, 3, 1)
+        pattern_offsets(n, 15, 3, 1)

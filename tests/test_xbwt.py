@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import to_codes
+from conftest import EDGE_TEXTS, to_codes
 from gfi import grammar as gm
 from gfi.xbwt import build_xbwt
 
@@ -26,13 +26,11 @@ def test_single_rule_grammar():
     trie = build_xbwt(g)
     assert trie.L.tolist() == [1, 0]
     assert trie.last.tolist() == [1, 1]
-    assert trie.leaf_order().tolist() == [1]
 
 
 def test_empty_grammar():
     trie = build_xbwt(gm.Grammar(lam=2, rhs=[]))
     assert trie.L.tolist() == [] and trie.last.tolist() == []
-    assert trie.leaf_order().tolist() == []
     lo, hi = trie.prefix_range(bytes([1]))
     assert lo > hi
 
@@ -43,13 +41,6 @@ def test_prefix_range_examples():
     assert trie.prefix_range(bytes([1, 1])) == (1, 1)  # aa -> A only
     lo, hi = trie.prefix_range(bytes([4]))
     assert lo > hi
-
-
-def test_leaf_order_matches_colex_permutation():
-    g = running_grammar()
-    trie = build_xbwt(g)
-    assert trie.leaf_order().tolist() == [4, 2, 3, 1, 5]
-    assert trie.leaf_order().tolist() == g.colex_to_lex.tolist()
 
 
 def test_row_shape_invariants():
@@ -82,23 +73,9 @@ def test_agrees_with_sparse_dictionary_exhaustively():
         text = bytes(rng.randint(1, sigma) for _ in range(n))
         g, _ = gm.build(text, lam)
         trie = build_xbwt(g)
-        assert trie.leaf_order().tolist() == g.colex_to_lex.tolist()
         for k in range(1, lam + 1):
             queries = map(bytes, itertools.product(range(1, sigma + 1), repeat=k))
             assert_prefix_ranges_agree(g, trie, queries)
-
-
-def full_byte_text():
-    """All 255 codes once, shuffled so that no factor grows long, then 200 random ones."""
-    rng = random.Random(255)
-    return bytes(rng.sample(range(1, 256), 255)) + bytes(rng.randint(1, 255) for _ in range(200))
-
-
-EDGE_TEXTS = {
-    "unary": bytes([1]) * 300,  # one factor, chunked into rules of lam codes
-    "full-byte": full_byte_text(),
-    "empty": b"",  # one rule, the empty string
-}
 
 
 @pytest.mark.parametrize("lam", [9, 64, 255])
@@ -106,7 +83,6 @@ EDGE_TEXTS = {
 def test_agrees_with_sparse_dictionary_at_edge_shapes(name, lam):
     g, _ = gm.build(EDGE_TEXTS[name], lam)
     trie = build_xbwt(g)
-    assert trie.leaf_order().tolist() == g.colex_to_lex.tolist()
     # every substring of every rule, the empty one included, and some non-rules
     queries = {s[i:j] for s in g.rhs for i in range(len(s) + 1) for j in range(i, len(s) + 1)}
     queries |= {bytes([0]), bytes([1, 0, 1]), bytes([2]), bytes([1]) * (lam + 1), bytes([255]) * 4}
