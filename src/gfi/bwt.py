@@ -20,15 +20,19 @@ from __future__ import annotations
 
 import numpy as np
 
+MAX_TEXT_LENGTH = 2**31 - 2  # so the n + 1 rows, positions and ranks of a sort fit int32
+
 
 def suffix_array(s) -> np.ndarray:
     """1-based suffix array of s with the terminator 0 appended.
 
     Returns a permutation of 1..len(s)+1; entry i is the start position of
     the i-th lexicographically smallest suffix of s·0.  Every code of s
-    must be at least 1.
+    must be at least 1, and s holds at most ``MAX_TEXT_LENGTH`` codes.
     """
     s = np.asarray(s)
+    if len(s) > MAX_TEXT_LENGTH:
+        raise ValueError("suffix_array takes at most %d codes, not %d" % (MAX_TEXT_LENGTH, len(s)))
     if len(s) and s.min() < 1:
         raise ValueError("suffix_array needs codes of at least 1; 0 is the terminator")
     n = len(s) + 1
@@ -43,11 +47,10 @@ def suffix_array(s) -> np.ndarray:
     for j in range(k):
         key *= base
         key[: n - 1 - j] += s[j:]
-    pos = np.int32 if n < 2**31 else np.int64
-    order = np.argsort(key).astype(pos)
+    order = np.argsort(key).astype(np.int32)
     key = key[order]
-    rank = np.empty(n, dtype=pos)
-    idx = np.arange(n, dtype=pos)  # the sorted positions just re-sorted by key
+    rank = np.empty(n, dtype=np.int32)
+    idx = np.arange(n, dtype=np.int32)  # the sorted positions just re-sorted by key
     u = order  # the suffixes at idx
     h = k
     while True:
@@ -66,14 +69,13 @@ def suffix_array(s) -> np.ndarray:
         # A suffix in a group of two or more has no terminator in its first
         # h codes, so u + h < n.  The key leads with the group's rank, and
         # each group is a run of idx, so sorting all of idx at once sorts
-        # every group inside its own run.  The key is below n^2, so it fits
-        # in int64 for n up to 3 * 10^9.
+        # every group inside its own run.  The key is below n^2 < 2^62.
         u = order[idx]
         key = rank[u].astype(np.int64)
         key *= n
         key += rank[u + h]
         del u
-        perm = np.argsort(key).astype(pos)
+        perm = np.argsort(key).astype(np.int32)
         key = key[perm]
         u = order[idx][perm]
         del perm

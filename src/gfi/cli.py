@@ -9,6 +9,7 @@ import time
 
 from gfi import index as index_mod
 from gfi import oracle
+from gfi.bwt import MAX_TEXT_LENGTH
 from gfi.errors import InvalidParameterError
 from gfi.query import count as query_count
 
@@ -82,8 +83,6 @@ def _exponent_range(text: str) -> tuple[int, int]:
 # Each length draws its pattern offsets before its timed loop, so their
 # number is bounded: 10^11 offsets would not fit in memory.
 MAX_BENCH_SAMPLES = 10**6
-# The longest text whose BWT, one row longer, fits the file format's 2^32-row columns.
-MAX_GEN_LENGTH = 2**32 - 2
 
 
 def _cmd_bench(args) -> int:
@@ -120,10 +119,15 @@ def _cmd_gen(args) -> int:
     if args.kind == "artificial":
         data = oracle.gen_artificial(args.mutation, args.seed)
     else:
-        if args.sigma > 255:
-            raise InvalidParameterError("--sigma must be at most 255: codes are written as bytes")
-        if args.length > MAX_GEN_LENGTH:
-            raise InvalidParameterError("--length must be at most %d" % MAX_GEN_LENGTH)
+        if not 1 <= args.sigma <= 255:
+            raise InvalidParameterError(
+                "--sigma must be from 1 to 255, as codes are written as bytes, not %d" % args.sigma
+            )
+        if not args.sigma <= args.length <= MAX_TEXT_LENGTH:
+            raise InvalidParameterError(
+                "--length must be from --sigma (%d) to %d, the longest text an index takes, not %d"
+                % (args.sigma, MAX_TEXT_LENGTH, args.length)
+            )
         data = oracle.gen_random_text(args.sigma, args.length, args.seed)
         if args.sigma <= 26:  # a.. letters when they fit: code c becomes byte 96 + c
             data = data.translate(bytes(range(96, 256)) + bytes(range(96)))
@@ -176,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["artificial", "random"])
     p.add_argument("--mutation", type=float, default=1.0)
     p.add_argument("--sigma", type=int, default=4)
-    p.add_argument("--length", type=int, default=1 << 20, help="at most %d" % MAX_GEN_LENGTH)
+    p.add_argument("--length", type=int, default=1 << 20, help="--sigma to %d" % MAX_TEXT_LENGTH)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_gen)

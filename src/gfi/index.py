@@ -12,14 +12,15 @@ checked at load and its rank layout is built on its first query.
 All multi-byte integers are little-endian.  The rules are one byte string
 in which each rule ends with a 0 byte, a code no text uses, so one
 ``bytes.split`` recovers them.  Each run and trie column is stored behind
-one width byte at the narrowest of 1, 2, 4 or 8 bytes per value that
-holds its largest value (``rlfm.narrowest``), so its values are limited
-only by int64; built or loaded, it keeps that width in memory.  The trie
-is one edge and one child-count column per level, the
-``ShortPatternTrie.levels`` the build makes; no node count is stored.
-A CRC-32 of everything before it ends the file.  Loading checks the
-structure first and the checksum last, and every file it rejects raises
-``CorruptIndexError``.
+one width byte at the narrowest of 1, 2 or 4 bytes per value that holds
+its largest value (``rlfm.narrowest``); built or loaded, it keeps that
+width in memory.  A text holds at most ``bwt.MAX_TEXT_LENGTH`` = 2^31 - 2
+characters, so no value exceeds the 2^31 - 1 rows of its BWT, and sums
+of values stay exact in int64.  The trie is one edge and one child-count
+column per level, the ``ShortPatternTrie.levels`` the build makes; no node
+count is stored.  A CRC-32 of everything before it ends the file.  Loading
+checks the structure first and the checksum last, and every file it
+rejects raises ``CorruptIndexError``.
 """
 
 from __future__ import annotations
@@ -39,12 +40,13 @@ from gfi import grammar as grammar_mod
 from gfi import query
 from gfi.alphabet import DenseAlphabet, densify
 from gfi.errors import CorruptIndexError, InvalidParameterError
-from gfi.rlfm import COLUMN_DTYPES, RLFMIndex, exact_sum, narrowest
+from gfi.rlfm import COLUMN_DTYPES, RLFMIndex, narrowest
 from gfi.shorttrie import ShortPatternTrie
 
 MAGIC = b"GFI1"
 VERSION = 4
 MAX_LAMBDA = 255  # the header stores the chunk size in one byte
+MAX_FIELD = bwt_mod.MAX_TEXT_LENGTH + 1  # the most rows a BWT has; no stored value exceeds it
 
 
 @dataclass
@@ -65,10 +67,21 @@ class TextIndex:
 
     @cached_property
     def rlfm0(self) -> RLFMIndex | None:
-        """The baseline FM index over ``baseline_runs``, built on first use."""
+        """The baseline FM index over ``baseline_runs``, built on first use.
+
+        Its C array gives each code's mass in the baseline for free, so
+        they are checked here, not at load: one terminator, and each code
+        1..sigma as often as the level-1 runs and the rules give it."""
         if self.baseline_runs is None:
             return None
-        return RLFMIndex(*self.baseline_runs)
+        rlfm0 = RLFMIndex(*self.baseline_runs)
+        rhs = self.grammar.rhs
+        sizes = np.fromiter(map(len, rhs), dtype=np.int64, count=len(rhs))
+        freqs = np.diff(self.rlfm1.C)[1:]
+        masses = _code_frequencies(b"".join(rhs), sizes, freqs, self.alphabet.size)
+        if np.diff(rlfm0.C).tolist() != [1, *masses]:
+            raise CorruptIndexError("the baseline's code masses and the level-1 runs disagree")
+        return rlfm0
 
     def count(self, pattern: bytes) -> int:
         return query.count(self, pattern)
@@ -89,6 +102,8 @@ def build_index(data: bytes, lam: int, with_baseline: bool = False) -> TextIndex
         raise InvalidParameterError("chunk size must be an integer from 1 to %d" % MAX_LAMBDA)
     lam = operator.index(lam)  # np.int64(4) becomes 4, which counts and saves as 4 does
     codes, alphabet = densify(bytes(data))
+    if len(codes) > bwt_mod.MAX_TEXT_LENGTH:
+        raise InvalidParameterError("a text holds at most %d bytes" % bwt_mod.MAX_TEXT_LENGTH)
     gram, level1 = grammar_mod.build(codes, lam)
     rlfm1 = RLFMIndex.from_bwt(bwt_mod.bwt_of(level1))
     text = np.frombuffer(codes, dtype=np.uint8)  # sorted as is; the trie widens it
@@ -105,9 +120,9 @@ def _columns(*columns) -> bytes:
     """The row count (u32), then each column as its width byte and its values."""
     out = [struct.pack("<I", len(columns[0]))]
     for column in map(np.asarray, columns):
-        if len(column) and column.min() < 0:
-            raise ValueError("index fields must be nonnegative")
-        column = narrowest(column)  # little-endian; a nonnegative int64 has its uint64's bytes
+        if len(column) and not 0 <= column.min() <= column.max() <= MAX_FIELD:
+            raise ValueError("index fields must lie in 0..%d" % MAX_FIELD)
+        column = narrowest(column)
         out.append(bytes([column.itemsize]) + column.tobytes())
     return b"".join(out)
 
@@ -131,10 +146,10 @@ def _read_columns(buf: io.BytesIO, count: int) -> list[np.ndarray]:
     for _ in range(count):
         width = _take(buf, 1)[0]
         if width not in COLUMN_DTYPES:
-            raise ValueError("column width %d is not 1, 2, 4 or 8" % width)
+            raise ValueError("column width %d is not 1, 2 or 4" % width)
         column = np.frombuffer(_take(buf, rows * width), dtype=COLUMN_DTYPES[width])
-        if width == 8 and rows and column.min() < 0:  # a value past int64 reads negative
-            raise ValueError("a column value exceeds int64")
+        if width == 4 and rows and column.max() > MAX_FIELD:  # the one width that holds more
+            raise ValueError("a column value exceeds %d" % MAX_FIELD)
         columns.append(column)
     return columns
 
@@ -162,23 +177,29 @@ def _read_trie(buf: io.BytesIO, height: int, sigma: int) -> ShortPatternTrie:
 def _read_runs(buf: io.BytesIO, top: int, what: str, symbols: str) -> tuple[np.ndarray, ...]:
     """The (heads, lengths) of a run-length BWT whose largest symbol is
     ``top``, checked so that ``RLFMIndex`` takes them as they are: no run is
-    empty, the lengths sum within int64, no two adjacent runs share a head,
-    and symbol 0 (the terminator) is one run of length 1.  Symbols below
-    ``top`` may be absent; ``top`` must occur, as a suffix count reads
-    ``first[c + 1]`` for every rule id c."""
+    empty, no two adjacent runs share a head, and symbol 0 (the terminator)
+    is one run of length 1.  Symbols below ``top`` may be absent; ``top``
+    must occur, as a suffix count reads ``first[c + 1]`` for every rule id c."""
     heads, lengths = _read_columns(buf, 2)
     if (heads.max() if len(heads) else -1) != top:
         raise ValueError("%s BWT symbols do not match the %d %s" % (what, top, symbols))
     if lengths.min() == 0:
         raise ValueError("%s BWT has a run of length 0" % what)
-    # Fewer than 2**32 rows of at most 2 bytes sum below 2**48; wider ones could wrap.
-    if lengths.itemsize > 2 and exact_sum(lengths) >> 63:
-        raise ValueError("%s BWT run lengths sum past int64" % what)
     if np.any(heads[1:] == heads[:-1]):
         raise ValueError("%s BWT has two adjacent runs of one symbol" % what)
     if lengths[heads == 0].tolist() != [1]:
         raise ValueError("%s BWT must hold exactly one terminator" % what)
     return heads, lengths
+
+
+def _code_frequencies(rules: bytes, sizes: np.ndarray, freqs: np.ndarray, sigma: int) -> list[int]:
+    """The text frequency of each code 1..sigma: the sum, over the rules, of
+    the rule's level-1 frequency ``freqs[i]`` times the code's count in it.
+    ``rules`` is the rules' bytes in id order, ``sizes[i]`` of them for rule
+    i; a 0 byte that ends a rule counts as code 0 and is dropped."""
+    total = np.zeros(sigma + 1, dtype=np.int64)
+    np.add.at(total, np.frombuffer(rules, dtype=np.uint8), np.repeat(freqs, sizes))
+    return total[1:].tolist()
 
 
 def _sections(index: TextIndex) -> list[tuple[str, bytes]]:
@@ -238,11 +259,9 @@ def _read_index(data: bytes) -> TextIndex:
 
     rlfm1 = RLFMIndex(*_read_runs(buf, len(rhs), "level-1", "rules"))
     freqs = np.diff(rlfm1.C)[1:]  # per rule id; the terminator dropped
-    n = int(freqs @ lengths)
-    if rlfm1.total_length * lam >> 63:  # only then can that int64 sum wrap
-        n = sum(map(operator.mul, freqs.tolist(), lengths.tolist()))
-        if n >> 63:
-            raise ValueError("the level-1 runs give a text length past int64")
+    n = int(freqs @ lengths)  # exact while the rows, n + 1 at most, are bounded
+    if rlfm1.total_length > MAX_FIELD or n > bwt_mod.MAX_TEXT_LENGTH:
+        raise ValueError("the level-1 runs give a text length past %d" % bwt_mod.MAX_TEXT_LENGTH)
 
     # The trie holds every substring shorter than lam, so its depth pins lam
     # for any text of at least lam - 1 characters.
@@ -258,14 +277,11 @@ def _read_index(data: bytes) -> TextIndex:
     if buf.tell() != len(data):
         raise ValueError("%d trailing bytes after the checksum" % (len(data) - buf.tell()))
 
-    # Each code's text frequency is the sum, over the rules, of the rule's
-    # level-1 frequency times the code's count in it; the trie's depth-1
-    # counts (no level at lam 1 or n 0) must give the same.  np.add.at keeps
-    # the sums exact in int64, where bincount's float64 weights round past 2**53.
+    # The trie's depth-1 counts (no level at lam 1 or n 0) must be the code
+    # frequencies that the level-1 runs and the rules give.
     if trie.levels:
-        freq_of_code = np.zeros(sigma + 1, dtype=np.int64)
-        np.add.at(freq_of_code, np.frombuffer(rules, dtype=np.uint8), np.repeat(freqs, lengths + 1))
-        if [trie.count(bytes([c])) for c in range(1, sigma + 1)] != freq_of_code[1:].tolist():
+        want = _code_frequencies(rules, lengths + 1, freqs, sigma)
+        if [trie.count(bytes([c])) for c in range(1, sigma + 1)] != want:
             raise ValueError("the level-1 runs and the trie's depth-1 counts disagree")
     if baseline is not None and baseline[1].sum(dtype=np.int64) != n + 1:
         raise ValueError("the level-1 runs and the baseline disagree on the text length")

@@ -55,24 +55,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# The dtype of an index file column of each width, built or loaded:
-# unsigned at widths 1, 2 and 4, and int64 at width 8, where numpy would not
-# take uint64 as repeat counts or mix it with int64.
-COLUMN_DTYPES = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4"), 8: np.dtype("<i8")}
+# The dtype of an index file column of each width, built or loaded.
+COLUMN_DTYPES = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4")}
 
 
 def narrowest(values: np.ndarray) -> np.ndarray:
     """Nonnegative ``values`` at the dtype of the narrowest width that holds them."""
     width = np.min_scalar_type(int(values.max(initial=0))).itemsize
     return values.astype(COLUMN_DTYPES[width], copy=False)
-
-
-def exact_sum(column: np.ndarray) -> int:
-    """Exact sum of fewer than 2^32 nonnegative values, each 32-bit half summed in uint64."""
-    if column.itemsize <= 4:
-        return int(column.sum(dtype=np.uint64))
-    high, low = np.divmod(column, 2**32)
-    return (int(high.sum(dtype=np.uint64)) << 32) + int(low.sum(dtype=np.uint64))
 
 
 @dataclass

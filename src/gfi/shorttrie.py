@@ -27,7 +27,8 @@ from bisect import bisect_left
 
 import numpy as np
 
-from gfi.rlfm import exact_sum, narrowest
+from gfi.bwt import MAX_TEXT_LENGTH
+from gfi.rlfm import narrowest
 
 
 class ShortPatternTrie:
@@ -51,9 +52,10 @@ class ShortPatternTrie:
                 if not 1 <= below.min() <= below.max() <= rows[d] or below.sum() != rows[d]:
                     message = "trie level %d's child counts must lie in 1..%d and sum to %d"
                     raise ValueError(message % (d, rows[d], rows[d]))
-            # Window counts of at most 2 bytes sum below 2**48; wider ones are summed exactly.
-            elif below.min() < 1 or below.itemsize > 2 and n + exact_sum(below) >> 63:
-                raise ValueError("trie level %d's windows must be 1 or more, summing in int64" % d)
+            # No count exceeds the text length, so fewer than 2**32 sum within int64.
+            elif below.min() < 1 or below.itemsize > 2 and below.max() > MAX_TEXT_LENGTH:
+                message = "trie level %d's window counts must lie in 1..%d"
+                raise ValueError(message % (d, MAX_TEXT_LENGTH))
         # Node p's children are the ids kids[p]+1 .. kids[p+1], with edges
         # edges[kids[p]:kids[p+1]]: kids sums the child counts of the root,
         # node 0, and then of every level's nodes, the windows below the

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import to_codes
-from gfi.bwt import bwt_of, suffix_array
+from gfi.bwt import MAX_TEXT_LENGTH, bwt_of, suffix_array
 from gfi.rlfm import RLFMIndex
 
 
@@ -143,6 +143,16 @@ def test_suffix_array_noisy_copies():
 def test_suffix_array_rejects_terminator_code():
     with pytest.raises(ValueError):
         suffix_array(np.array([2, 0, 1]))
+
+
+def test_suffix_array_refuses_a_text_past_the_bound_before_reading_it():
+    """2**31 codes, two past ``MAX_TEXT_LENGTH``, as one zero-stride array.
+    Every code is the terminator 0, so any pass over them would end in the
+    terminator refusal; the length refusal comes first."""
+    s = np.broadcast_to(np.uint8(0), (2**31,))
+    assert MAX_TEXT_LENGTH == 2**31 - 2 and s.strides == (0,)
+    with pytest.raises(ValueError, match="at most 2147483646 codes, not 2147483648"):
+        suffix_array(s)
 
 
 def test_bwt_inversion_round_trip():

@@ -315,6 +315,32 @@ def test_gen_random_rejects_sigma_above_length(tmp_path, capsys):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["--length", "0"], "--length"),
+        (["--length", "-5"], "--length"),
+        (["--sigma", "0"], "--sigma"),
+        (["--sigma", "9", "--length", "5"], "--length"),
+        (["--length", "2147483647"], "--length"),
+    ],
+    ids=["length_0", "negative_length", "sigma_0", "sigma_above_length", "length_past_the_bound"],
+)
+def test_gen_random_refusals_name_the_option(tmp_path, capsys, monkeypatch, argv, option):
+    """Each refusal is a parameter error (exit 2) that names the option at
+    fault, given before a code is drawn and with no file written."""
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking --sigma and --length")
+
+    monkeypatch.setattr("gfi.oracle.gen_random_text", no_sampling)
+    out_file = tmp_path / "r.txt"
+    status, out, err = run(capsys, "gen", "random", *argv, "-o", str(out_file))
+    assert status == 2 and out == ""
+    assert err.startswith("error: " + option)
+    assert not out_file.exists()
+
+
 def test_gen_random_full_byte_alphabet_in_short_text(tmp_path, capsys):
     out_file = tmp_path / "r.txt"
     status, out, _ = run(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import corrupt_trie_rows, relabelled_trie_index, reseal
+from gfi import bwt
 from gfi import index as index_mod
 from gfi.alphabet import DenseAlphabet
 from gfi.errors import CorruptIndexError, InvalidParameterError
@@ -200,12 +201,12 @@ def _trie_levels_of(blob: bytes) -> list[list[list[int]]]:
 
 def _with_trie_levels(blob: bytes, levels) -> bytes:
     """The index file with its trie section written by hand from ``levels``,
-    every column at width 8; resealed."""
+    every column at width 4; resealed."""
     sections = _sections_of(blob)
     out = [bytes([len(levels)])]
     for columns in levels:
         out.append(struct.pack("<I", len(columns[0])))
-        out += [b"\x08" + np.asarray(column, dtype="<u8").tobytes() for column in columns]
+        out += [b"\x04" + np.asarray(column, dtype="<u4").tobytes() for column in columns]
     sections["short_trie"] = b"".join(out)
     return reseal(b"".join(sections.values()))
 
@@ -227,11 +228,12 @@ def _moved_child(levels):
 
 
 def _wrapping_children(levels):
-    """Level 1's child counts 2**63 - 1, 2**63 - 1 and 10, which sum in
-    int64 to 8, level 2's row count; the child slices built from them
-    crashed the interpreter."""
-    levels[0][1] = [2**63 - 1, 2**63 - 1, len(levels[1][0]) + 2]
-    assert np.sum(levels[0][1], dtype=np.int64) == len(levels[1][0])
+    """Level 1's child counts 2**31 - 1, 2**31 - 1 and 10, each within the
+    bound on stored values, which sum to 8, level 2's row count, modulo
+    2**32, the range of their 4-byte width.  Child counts whose int64 sum
+    wrapped so gave child slices that crashed the interpreter."""
+    levels[0][1] = [2**31 - 1, 2**31 - 1, len(levels[1][0]) + 2]
+    assert np.sum(levels[0][1], dtype=np.uint32) == len(levels[1][0])
 
 
 @pytest.mark.parametrize(
@@ -329,31 +331,75 @@ def _unary_index(n: int) -> TextIndex:
     )
 
 
-@pytest.mark.parametrize("n", [2**32 + 3, 2**32])
-def test_fields_beyond_32_bits_round_trip_at_width_8(n):
-    """A level-1 run length and a trie window count past 32 bits take 8-byte columns."""
+def _with_level1_runs(blob: bytes, lengths, width: int) -> bytes:
+    """The index file with its level-1 runs written by hand: heads 1 and 0
+    (the terminator) at width 1, and ``lengths`` at ``width``; resealed."""
+    sections = _sections_of(blob)
+    sections["level1_bwt"] = b"".join([
+        struct.pack("<I", 2), b"\x01\x01\x00",
+        bytes([width]), np.asarray(lengths, dtype="<u%d" % width).tobytes(),
+    ])
+    return reseal(b"".join(sections.values()))
+
+
+def test_fields_at_the_text_bound_round_trip():
+    """A text of 2**31 - 2 characters, the bound: its level-1 run length and
+    its trie window count take 4-byte columns, and its level-1 BWT has
+    2**31 - 1 rows, the most a stored value may be."""
+    n = bwt.MAX_TEXT_LENGTH
+    assert n == 2**31 - 2 == index_mod.MAX_FIELD - 1
     index = _unary_index(n)
     blob = save_index(index)
     loaded = load_index(blob)
     assert save_index(loaded) == blob
     assert loaded.n == index.n == n and loaded.count(b"a") == n
-    with pytest.raises(CorruptIndexError, match="exceeds int64"):
-        load_index(reseal(blob.replace(struct.pack("<Q", n), struct.pack("<Q", 2**63 + n))))
+    assert loaded.rlfm1.run_lengths.dtype == loaded.trie.levels[0][1].dtype == np.uint32
+    assert loaded.rlfm1.total_length == index_mod.MAX_FIELD
+
+
+@pytest.mark.parametrize(
+    "n, width, reason",
+    [
+        (2**31 - 1, 4, "level-1 runs give a text length past 2147483646"),
+        (2**32 + 3, 8, "column width 8 is not 1, 2 or 4"),
+    ],
+    ids=["2147483647", "4294967299"],
+)
+def test_fields_past_the_text_bound_are_refused(n, width, reason):
+    """A text one character past the bound, and one past 32 bits.  The trie
+    refuses its window count, and load_index a file written by hand with its
+    level-1 run length: the runs give a text past the bound or, past 32
+    bits, take an 8-byte column, which no index needs and the writer never
+    makes."""
+    with pytest.raises(ValueError, match="window counts must lie in 1..2147483646"):
+        _unary_index(n)
+    blob = save_index(_unary_index(bwt.MAX_TEXT_LENGTH))
+    with pytest.raises(CorruptIndexError, match=reason):
+        load_index(_with_level1_runs(blob, [n, 1], width))
 
 
 def test_rejects_level1_text_length_past_int64():
-    """One rule ``aaaa`` occurring 2**62 + 1 times: the run lengths sum
-    within int64, but the text length, 4 * (2**62 + 1), wraps to 4 in an
-    int64 dot product and would match a trie of ``aaaa``."""
-    wrapped = TextIndex(
+    """One rule ``aaaa`` occurring 2**62 + 1 times: the text length,
+    4 * (2**62 + 1), wraps to 4 in an int64 dot product and would match a
+    trie of ``aaaa``.  That run length is past 2**31 - 1, so the writer
+    refuses it, and a file holding it at width 8 is refused as it is read.
+    Within the bound no dot product wraps: 2**29 occurrences give a text
+    length of 2**31, which the file's checks refuse by itself."""
+    aaaa = TextIndex(
         alphabet=DenseAlphabet(b"a"),
         grammar=Grammar(lam=4, rhs=[bytes([1]) * 4]),
-        rlfm1=RLFMIndex(run_heads=[1, 0], run_lengths=[2**62 + 1, 1]),
+        rlfm1=RLFMIndex(run_heads=[1, 0], run_lengths=[1, 1]),
         trie=ShortPatternTrie.build(np.ones(4, dtype=np.uint8), 4),
-        n=4 * (2**62 + 1),
+        n=4,
     )
-    with pytest.raises(CorruptIndexError, match="text length past int64"):
-        load_index(save_index(wrapped))
+    wrapped = dataclasses.replace(aaaa, rlfm1=RLFMIndex([1, 0], [2**62 + 1, 1]))  # n stays 4
+    with pytest.raises(ValueError, match="index fields must lie in 0..2147483647"):
+        save_index(wrapped)
+    blob = save_index(aaaa)
+    with pytest.raises(CorruptIndexError, match="column width 8 is not 1, 2 or 4"):
+        load_index(_with_level1_runs(blob, [2**62 + 1, 1], 8))
+    with pytest.raises(CorruptIndexError, match="text length past 2147483646"):
+        load_index(_with_level1_runs(blob, [2**29, 1], 4))
 
 
 @pytest.fixture(scope="module")
@@ -431,7 +477,7 @@ def test_save_rejects_a_negative_field(running_example_index):
               for level in running_example_index.trie.levels]
     levels[-1][0][0] = -1
     negative = dataclasses.replace(running_example_index, trie=ShortPatternTrie(levels))
-    with pytest.raises(ValueError, match="index fields must be nonnegative"):
+    with pytest.raises(ValueError, match="index fields must lie in 0..2147483647"):
         save_index(negative)
 
 
@@ -445,11 +491,11 @@ def _sections_of(blob: bytes) -> dict[str, bytes]:
     return out
 
 
-def _at_width_8(section: bytes, widen: set[int], trie: bool = False) -> bytes:
+def _at_width(width: int, section: bytes, widen: set[int], trie: bool = False) -> bytes:
     """A run section, or a trie section of one column set per level behind
-    its level count, with the columns numbered in ``widen`` re-encoded at 8
-    bytes per value in every column set; the values stay the same.  A trie
-    level's columns are edge and child count."""
+    its level count, with the columns numbered in ``widen`` re-encoded at
+    ``width`` bytes per value in every column set; the values stay the
+    same.  A trie level's columns are edge and child count."""
     height = section[0] if trie else 1
     out, at = [section[:1]] if trie else [], 1 if trie else 0
     for level in range(1, height + 1):
@@ -461,29 +507,38 @@ def _at_width_8(section: bytes, widen: set[int], trie: bool = False) -> bytes:
             column = section[at:end]
             if number in widen:
                 values = np.frombuffer(column, dtype="<u%d" % column[0], offset=1)
-                column = b"\x08" + values.astype("<u8").tobytes()
+                column = bytes([width]) + values.astype("<u%d" % width).tobytes()
             out.append(column)
             at = end
     assert at == len(section)
     return b"".join(out)
 
 
-def test_columns_re_encoded_at_width_8_load_and_count_alike(fuzz_blob):
-    """Trie edges and child counts on every level and level-1 heads at width
-    8, which ``save_index`` never writes for such small values, load as int64
-    and count exactly like the canonical file."""
-    text, blob = fuzz_blob
+def _re_encoded(blob: bytes, width: int) -> bytes:
+    """The index file with its level-1 heads and every trie level's edges
+    and child counts re-encoded at ``width``; resealed."""
     sections = _sections_of(blob)
-    sections["level1_bwt"] = _at_width_8(sections["level1_bwt"], {0})
-    sections["short_trie"] = _at_width_8(sections["short_trie"], {0, 1}, trie=True)
-    wide = reseal(b"".join(sections.values()))
+    sections["level1_bwt"] = _at_width(width, sections["level1_bwt"], {0})
+    sections["short_trie"] = _at_width(width, sections["short_trie"], {0, 1}, trie=True)
+    return reseal(b"".join(sections.values()))
+
+
+def test_columns_re_encoded_at_width_4_load_and_count_alike(fuzz_blob):
+    """Trie edges and child counts on every level and level-1 heads at width
+    4, which ``save_index`` never writes for such small values, load as
+    uint32, count exactly like the canonical file and save as it.  Width 8,
+    which no value within the text bound needs, is refused."""
+    text, blob = fuzz_blob
+    wide = _re_encoded(blob, 4)
     assert len(wide) > len(blob)
     canonical, loaded = load_index(blob), load_index(wide)
-    assert loaded.rlfm1.run_heads.dtype == np.int64
-    assert np.asarray(loaded.trie.edges).dtype == np.int64
-    assert all(level[0].dtype == np.int64 for level in loaded.trie.levels)
-    assert all(level[1].dtype == np.int64 for level in loaded.trie.levels)
+    assert loaded.rlfm1.run_heads.dtype == np.uint32
+    assert np.asarray(loaded.trie.edges).dtype == np.uint32
+    assert all(level[0].dtype == np.uint32 for level in loaded.trie.levels)
+    assert all(level[1].dtype == np.uint32 for level in loaded.trie.levels)
     assert save_index(loaded) == blob
+    with pytest.raises(CorruptIndexError, match="column width 8 is not 1, 2 or 4"):
+        load_index(_re_encoded(blob, 8))
     patterns = sorted(_substrings(text, 12)) + [b"abcabc", b"ccc", b"d", b"aaaaaaaa"]
     for pattern in patterns:
         assert loaded.count(pattern) == canonical.count(pattern)
@@ -647,9 +702,9 @@ def test_rejects_corrupt_baseline_runs(fuzz_blob, edit, reason):
 
 def test_rejects_baseline_run_lengths_whose_sum_wraps(fuzz_blob):
     """2**62 added to four baseline run lengths, stored at width 8, adds 2**64
-    to their sum: the int64 sum wraps back to the text length, and without
-    the overflow check the file loads and ``count_baseline(b"a")`` is 15, not
-    25."""
+    to their sum: the int64 sum wraps back to the text length, and a file
+    that loaded them gave ``count_baseline(b"a")`` 15, not 25.  No value
+    within the text bound needs width 8, so the file is refused for it."""
     _, blob = fuzz_blob
     heads, lengths = load_index(blob).baseline_runs
     wrapped = lengths.astype(np.int64)
@@ -661,20 +716,45 @@ def test_rejects_baseline_run_lengths_whose_sum_wraps(fuzz_blob):
         b"\x01", heads.astype(np.uint8).tobytes(),
         b"\x08", wrapped.astype("<i8").tobytes(),
     ])
-    with pytest.raises(CorruptIndexError, match="baseline BWT run lengths sum past int64"):
+    with pytest.raises(CorruptIndexError, match="column width 8 is not 1, 2 or 4"):
         load_index(reseal(b"".join(sections.values())))
 
 
-def test_rejects_width_4_run_lengths_whose_sum_passes_int64(monkeypatch):
-    """2**31 + 1 run lengths of 2**32 - 1, each fitting 4 bytes, sum past
-    2**63, so their int64 sum wraps negative.  A file holding them would
-    take about 10.7 GB, so ``_read_runs`` is handed them as one zero-stride
-    column; two heads suffice, as the sum is checked first."""
-    lengths = np.broadcast_to(np.uint32(2**32 - 1), (2**31 + 1,))
-    heads = np.array([1, 0], dtype=np.uint8)
-    monkeypatch.setattr(index_mod, "_read_columns", lambda buf, count: [heads, lengths])
-    with pytest.raises(ValueError, match="level-1 BWT run lengths sum past int64"):
-        index_mod._read_runs(None, 1, "level-1", "rules")
+def test_rejects_width_4_run_lengths_whose_sum_passes_int64():
+    """Fewer than 2**32 values of at most 2**31 - 1 sum below 2**63, so
+    width-4 run lengths whose int64 sum wraps, such as 2**31 + 1 lengths of
+    2**32 - 1, hold a value past 2**31 - 1.  One such value is refused as
+    its column is read."""
+    blob = save_index(_unary_index(5))
+    assert load_index(_with_level1_runs(blob, [5, 1], 4)).count(b"a") == 5
+    with pytest.raises(CorruptIndexError, match="a column value exceeds 2147483647"):
+        load_index(_with_level1_runs(blob, [2**32 - 1, 1], 4))
+
+
+def test_moved_baseline_mass_is_refused_on_first_baseline_count(fuzz_blob):
+    """One unit of run length moved from a run of b to a run of a keeps the
+    baseline's total length, so the file loads.  Its code masses no longer
+    match the level-1 runs: a's is 26 where the text has 25, and
+    ``count_baseline(b"a")`` gave 26 before this check."""
+    text, blob = fuzz_blob
+    moved = _patch_baseline(blob, _set("lengths", (1, 9), (2, 11)))
+    heads, lengths = load_index(moved).baseline_runs
+    assert heads[1:3].tolist() == [2, 1] and lengths[1:3].tolist() == [9, 11]
+    idx = load_index(moved)
+    assert idx.count(b"a") == text.count(b"a") == 25
+    with pytest.raises(CorruptIndexError, match="baseline's code masses"):
+        idx.count_baseline(b"a")
+
+
+def test_build_refuses_a_text_past_the_bound(monkeypatch):
+    """A text past ``bwt.MAX_TEXT_LENGTH`` is a parameter error, raised
+    before the grammar is built; one trailing NUL, which the build strips,
+    does not count.  The bound is patched to 10 here."""
+    monkeypatch.setattr(bwt, "MAX_TEXT_LENGTH", 10)
+    with pytest.raises(InvalidParameterError, match="at most 10 bytes"):
+        build_index(b"bacabacaac" + b"b", 4)
+    idx = build_index(b"bacabacaac\x00", 4, with_baseline=True)
+    assert idx.n == 10 and idx.count_baseline(b"aca") == 2
 
 
 def test_baseline_rlfm_is_built_on_first_baseline_query(fuzz_blob, rlfm_inits):

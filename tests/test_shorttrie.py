@@ -53,10 +53,11 @@ def test_rejects_malformed_node_arrays():
         ShortPatternTrie([([2, 1], [1, 1])])
     with pytest.raises(ValueError, match="strictly increase"):
         ShortPatternTrie([([1], [2]), ([1, 1], [1, 1])])
-    # A deepest node spells no window, or the windows' int64 sum wraps.
-    with pytest.raises(ValueError, match="level 2's windows must be 1 or more"):
+    # A deepest node spells no window, or more windows than a text can
+    # open, whose int64 sum could wrap.
+    with pytest.raises(ValueError, match="level 2's window counts must lie in 1..2147483646"):
         ShortPatternTrie([([1], [1]), ([1], [0])])
-    with pytest.raises(ValueError, match="summing in int64"):
+    with pytest.raises(ValueError, match="level 1's window counts must lie in 1..2147483646"):
         ShortPatternTrie([([1, 2], [2**62, 2**62])])
 
 
