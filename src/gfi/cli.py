@@ -198,6 +198,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError:
+        pass  # reported below, once the failed call's frames and arrays are freed
+    print("error: out of memory in gfi %s" % args.command, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

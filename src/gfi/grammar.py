@@ -1,7 +1,8 @@
 """The chunked height-1 grammar dictionary and its prefix/suffix lookups.
 
 The text's code bytes are cut at their S* positions and the factors are
-chopped into chunks of at most lam codes.  Every distinct chunk becomes a
+chopped into chunks of at most lam codes, in one pass over the cuts that
+keeps no list of factors or chunks.  Every distinct chunk becomes a
 rule; symbol ids are the 1-based lexicographic ranks of the right-hand
 sides (id 0 is reserved for the terminator of the rewritten text).  The
 rules that start with a string q form one interval of lex ids, found by
@@ -14,12 +15,15 @@ or walks the interval's slots of the colex permutation.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from gfi import lms
+from gfi.errors import InvalidParameterError
 
 
 def _starting_with(strings: list[bytes], q: bytes, lam: int) -> tuple[int, int]:
@@ -73,14 +77,29 @@ class Grammar:
 def build(codes: bytes, lam: int) -> tuple[Grammar, np.ndarray]:
     """Build the dictionary over the code string's chunks and rewrite it.
 
+    One pass walks the S* cuts: each factor [a, b) between two cuts is cut
+    into chunks of lam codes, all full but the last, and each chunk gets a
+    provisional id, its first-seen rank, kept 4 bytes per chunk.  Once the
+    rules are sorted, one table lookup turns those ids into lex ids.
+
     Returns the grammar and the rewritten text (one lex id per chunk, in
     the narrowest unsigned dtype that holds every id); expanding the ids
     through the rules reproduces the codes.
     """
-    chunks = lms.chunk(lms.factorize(codes, lms.classify(codes)), lam)
-    rhs = sorted(set(chunks))
-    grammar = Grammar(lam=lam, rhs=rhs)
-    ids = grammar.rhs_id
+    if lam < 1:
+        raise InvalidParameterError("chunk size must be at least 1")
+    ids: dict[bytes, int] = {}  # chunk -> provisional id
+    add = ids.setdefault
+    provisional = array("I")
+    append = provisional.append
+    a = 0
+    for b in chain(lms.classify(codes), [len(codes)]):
+        while b - a > lam:
+            append(add(codes[a : a + lam], len(ids)))
+            a += lam
+        append(add(codes[a:b], len(ids)))  # the factor's last chunk, empty for an empty text
+        a = b
+    grammar = Grammar(lam=lam, rhs=sorted(ids))
     dtype = np.min_scalar_type(grammar.size)
-    level1 = np.fromiter((ids[c] for c in chunks), dtype=dtype, count=len(chunks))
-    return grammar, level1
+    lex = np.fromiter(map(grammar.rhs_id.__getitem__, ids), dtype=dtype, count=len(ids))
+    return grammar, lex[np.frombuffer(provisional, dtype=np.uint32)]

@@ -223,6 +223,10 @@ def _sections(index: TextIndex) -> list[tuple[str, bytes]]:
 
 
 def save_index(index: TextIndex) -> bytes:
+    if index.n > bwt_mod.MAX_TEXT_LENGTH:  # load_index refuses such a file
+        raise ValueError(
+            "a text holds at most %d characters, not %d" % (bwt_mod.MAX_TEXT_LENGTH, index.n)
+        )
     return b"".join(data for _, data in _sections(index))
 
 
@@ -303,8 +307,9 @@ def load_index(data: bytes) -> TextIndex:
 
 
 def save_index_file(index: TextIndex, path: str):
+    data = save_index(index)  # serialized first: a failure leaves no file behind
     with open(path, "wb") as fh:
-        fh.write(save_index(index))
+        fh.write(data)
 
 
 def load_index_file(path: str) -> TextIndex:

@@ -7,6 +7,11 @@ larger, i.e. when i starts a run of equal codes that is entered from a
 larger code and left to a larger code.  A run reaching the end of the
 string is left to $, so it never starts at an S* position, and position
 0 is never S* because nothing enters it.
+
+``grammar.build`` cuts the text's factors and chunks in one pass over
+``classify``'s positions.  ``factorize`` and ``chunk`` are the reference
+forms of those two cuts, as whole lists: the tests compare the one-pass
+build with them, and the benchmark's tracer wraps them by name.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from conftest import corrupt_trie_rows, relabelled_trie_index
 from gfi.cli import main
 from gfi.grammar import Grammar
 from gfi.index import build_index, save_index, save_index_file
-from gfi.oracle import naive_count
+from gfi.oracle import gen_artificial, naive_count
 
 
 def run(capsys, *argv):
@@ -179,18 +179,40 @@ def test_bench_rejects_samples_below_one(tmp_path, capsys, monkeypatch, samples)
     assert err.startswith("error:") and "--samples" in err
 
 
-def run_under_memory_cap(*args):
-    """``python -m gfi.cli`` with ``args`` in a child process, under a 2 GB
-    address space cap and a 60 s timeout."""
+def run_under_memory_cap(*args, cap=2 * 10**9):
+    """``python -m gfi.cli`` with ``args`` in a child process, under an
+    address space cap of ``cap`` bytes (2 GB by default) and a 60 s timeout.
+    numpy's OpenBLAS reserves address space per thread at import, so the
+    child runs one thread: what a cap leaves the program does not depend on
+    the machine's core count."""
 
     def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     return subprocess.run(
         [sys.executable, "-m", "gfi.cli", *args],
         capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
-        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gfi.__file__))},
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gfi.__file__)),
+             "OPENBLAS_NUM_THREADS": "1"},
     )
+
+
+def test_build_out_of_memory_is_a_one_line_error(tmp_path):
+    """Under a 150,000 KiB address space cap a 90-byte text builds, while
+    four copies of the seed-1 art corpus (2 MB) at lambda 4 with the
+    baseline need about 195,000 KiB.  That build exits 2 with one
+    out-of-memory line, no traceback and no index file."""
+    cap = 150_000 * 1024  # ulimit -v 150000
+    corpus = gen_artificial(1.0, 1)
+    for name, text, status in [("small", corpus[:90], 0), ("large", corpus * 4, 2)]:
+        text_file, idx_file = tmp_path / (name + ".txt"), tmp_path / (name + ".gfi")
+        text_file.write_bytes(text)
+        proc = run_under_memory_cap("build", "-i", str(text_file), "-o", str(idx_file),
+                                    "--lambda", "4", "--baseline", cap=cap)
+        assert proc.returncode == status, (name, proc.stderr[-300:])
+        assert idx_file.exists() == (status == 0), name
+    assert proc.stdout == ""
+    assert proc.stderr == "error: out of memory in gfi build\n"
 
 
 def test_bench_refuses_samples_past_the_bound_under_a_memory_cap(tmp_path):

@@ -1,14 +1,17 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import EDGE_TEXTS, to_codes
+from conftest import EDGE_TEXTS, full_byte_text, to_codes
 from gfi import grammar as gm
+from gfi import lms
+from gfi.alphabet import densify
 from gfi.errors import InvalidParameterError
-from gfi.index import build_index
-from gfi.oracle import naive_count
+from gfi.index import build_index, save_index
+from gfi.oracle import gen_artificial, naive_count
 
 
 def letters(rules):
@@ -36,9 +39,85 @@ def test_build_lam1_is_identity():
 
 
 def test_build_rejects_chunk_size_0():
-    """The check is ``lms.chunk``'s; the grammar builder has none of its own."""
+    """The builder checks lam before its pass, which would never advance at 0."""
     with pytest.raises(InvalidParameterError, match="at least 1"):
         gm.build(to_codes(b"bacabacaacbcbc"), 0)
+
+
+def reference_build(codes: bytes, lam: int):
+    """The grammar and level-1 text from the reference factor and chunk lists."""
+    chunks = lms.chunk(lms.factorize(codes, lms.classify(codes)), lam)
+    g = gm.Grammar(lam=lam, rhs=sorted(set(chunks)))
+    dtype = np.min_scalar_type(g.size)
+    return g, np.array([g.rhs_id[c] for c in chunks], dtype=dtype)
+
+
+def assert_matches_reference(codes: bytes, lam: int):
+    g, level1 = gm.build(codes, lam)
+    want, want_level1 = reference_build(codes, lam)
+    assert g.rhs == want.rhs, (codes, lam)
+    assert level1.dtype == want_level1.dtype, (codes, lam)
+    assert level1.tolist() == want_level1.tolist(), (codes, lam)
+
+
+REFERENCE_LAMBDAS = (1, 2, 3, 4, 8, 255)
+
+
+@pytest.mark.parametrize("lam", REFERENCE_LAMBDAS)
+def test_one_pass_build_matches_reference_on_random_texts(lam):
+    rng = random.Random(lam)
+    for _ in range(150):
+        sigma = rng.choice([1, 2, 3, 4, 16, 255])
+        n = rng.randint(1, 600)
+        assert_matches_reference(bytes(rng.randint(1, sigma) for _ in range(n)), lam)
+
+
+@pytest.mark.parametrize("lam", REFERENCE_LAMBDAS)
+def test_one_pass_build_matches_reference_at_edge_shapes(lam):
+    rng = random.Random(100 + lam)
+    shapes = {
+        "one character": bytes([1]),
+        "one character 255": bytes([255]),
+        "unary run longer than lam": bytes([2]) * (3 * lam + 1),
+        "random over 255 codes": full_byte_text(),
+        "periodic": bytes([2, 1, 3]) * 200,
+        "shorter than lam": bytes(rng.randint(1, 4) for _ in range(lam - 1)),
+        "empty": b"",
+    }
+    for codes in shapes.values():
+        assert_matches_reference(codes, lam)
+
+
+@pytest.fixture(scope="module")
+def art_corpus():
+    """The seed-1 generated corpus, the one the benchmark indexes."""
+    return gen_artificial(1.0, 1)
+
+
+@pytest.mark.parametrize("lam", [1, 2, 4, 8, 16])
+def test_index_bytes_match_reference_build_on_art_corpus(monkeypatch, art_corpus, lam):
+    """The seed-1 art corpus indexes to the same file whether the grammar
+    comes from one pass or from the reference lists."""
+    blob = save_index(build_index(art_corpus, lam))
+    monkeypatch.setattr(gm, "build", reference_build)
+    assert save_index(build_index(art_corpus, lam)) == blob
+
+
+@pytest.mark.parametrize("lam", [4, 8])
+def test_build_peak_memory_per_character(art_corpus, lam):
+    """The one-pass build keeps no whole-text list of cuts, factors or
+    chunks past its loop: its traced peak on the seed-1 art corpus stays
+    at most 16 B per character (about 12 B; the list build took 28.4 B).
+    tracemalloc counts Python and numpy allocations alike, and repeats
+    exactly from run to run."""
+    codes, _ = densify(art_corpus)
+    tracemalloc.start()
+    try:
+        gm.build(codes, lam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * len(codes), peak / len(codes)
 
 
 def test_expansion_reproduces_text():

@@ -378,6 +378,17 @@ def test_fields_past_the_text_bound_are_refused(n, width, reason):
         load_index(_with_level1_runs(blob, [n, 1], width))
 
 
+def test_save_refuses_a_text_past_the_bound():
+    """A hand-made index of one character more than the bound is refused by
+    the writer, as its file would be by the loader."""
+    n = bwt.MAX_TEXT_LENGTH + 1
+    index = dataclasses.replace(
+        _unary_index(bwt.MAX_TEXT_LENGTH), rlfm1=RLFMIndex([1, 0], [n, 1]), n=n
+    )
+    with pytest.raises(ValueError, match="a text holds at most 2147483646 characters, not 2147483647"):
+        save_index(index)
+
+
 def test_rejects_level1_text_length_past_int64():
     """One rule ``aaaa`` occurring 2**62 + 1 times: the text length,
     4 * (2**62 + 1), wraps to 4 in an int64 dot product and would match a
@@ -582,18 +593,20 @@ def test_fuzz_byte_flips_with_stale_checksum_are_rejected(fuzz_blob):
 
 def test_fuzz_byte_flips_with_resealed_checksum_never_crash(fuzz_blob):
     """With the checksum recomputed, only the structural checks stand between
-    a flip and the query code.  Each flip must be rejected, or give an index
-    whose counts run to an int on every substring up to length 12.  They need
-    not be right.  No stored count is left in the trie, but a changed edge
-    code below depth 1, alphabet byte or baseline run, or a level-1 head
-    moved to a rule with the same letters in another order, can load and
-    miscount silently; it is the checksum that catches those."""
+    a flip and the query code.  Each flip must be rejected, at load or at
+    the first baseline count, which checks the baseline's code masses, or
+    give an index whose counts run to an int on every substring up to
+    length 12.  They need not be right.  No stored count is left in the
+    trie, but a changed edge code below depth 1 or alphabet byte, or a
+    level-1 head moved to a rule with the same letters in another order, can
+    load and miscount silently; it is the checksum that catches those."""
     text, blob = fuzz_blob
     substrings = sorted(_substrings(text, 12))
     loaded = 0
     for damaged in _flips(blob[:-4], 300, 2):
         try:
             idx = load_index(reseal(damaged + bytes(4)))
+            idx.count_baseline(substrings[0])
         except CorruptIndexError:
             continue
         loaded += 1
