@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import EDGE_TEXTS, full_byte_text, to_codes
+from conftest import EDGE_TEXTS, to_codes
 from gfi import grammar as gm
 from gfi import lms
 from gfi.alphabet import densify
@@ -74,15 +74,14 @@ def test_one_pass_build_matches_reference_on_random_texts(lam):
 
 @pytest.mark.parametrize("lam", REFERENCE_LAMBDAS)
 def test_one_pass_build_matches_reference_at_edge_shapes(lam):
+    """EDGE_TEXTS (a unary run longer than lam, 255 random codes, the empty
+    text) and three more shapes."""
     rng = random.Random(100 + lam)
     shapes = {
+        **EDGE_TEXTS,
         "one character": bytes([1]),
-        "one character 255": bytes([255]),
-        "unary run longer than lam": bytes([2]) * (3 * lam + 1),
-        "random over 255 codes": full_byte_text(),
         "periodic": bytes([2, 1, 3]) * 200,
         "shorter than lam": bytes(rng.randint(1, 4) for _ in range(lam - 1)),
-        "empty": b"",
     }
     for codes in shapes.values():
         assert_matches_reference(codes, lam)

@@ -385,7 +385,7 @@ def test_save_refuses_a_text_past_the_bound():
     index = dataclasses.replace(
         _unary_index(bwt.MAX_TEXT_LENGTH), rlfm1=RLFMIndex([1, 0], [n, 1]), n=n
     )
-    with pytest.raises(ValueError, match="a text holds at most 2147483646 characters, not 2147483647"):
+    with pytest.raises(ValueError, match="at most 2147483646 characters, not 2147483647"):
         save_index(index)
 
 
